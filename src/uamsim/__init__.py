@@ -3,9 +3,9 @@ pressing on a tilted surface: plant simulation, surface-parameter
 estimation, reference smoothing, DOB-based switching control and
 stability-based force-gain scheduling."""
 
-from .plant import (DisturbanceConfig, MeasurementNoise, Measurement, Plant,
-                    PlantConfig, PlantState, SurfaceModel, attitude_track,
-                    contact_force, measure, step)
+from .plant import (DisturbanceConfig, MeasurementNoise, Measurement,
+                    PlantConfig, PlantState, SurfaceModel, contact_force,
+                    measure, step)
 from .estimator import ContactDetector, EnvEstimate, RlseConfig, rlse_update
 from .reference import (CONTACT, FREE, ReferenceState, contact_step,
                         free_step, switch_mode)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .plant import E3, Measurement, SurfaceModel, thrust_direction
-from .reference import CONTACT, FREE, ReferenceState
+from .reference import FREE, ReferenceState
 
 
 class InfeasibleInput(Exception):
@@ -63,8 +63,8 @@ def _expm_neg(L: np.ndarray, dt: float) -> np.ndarray:
     return (V * np.exp(-w * dt)) @ V.T
 
 
-def dob_estimates(dob: DOBState, meas: Measurement, gains: GainSet,
-                  surface: SurfaceModel) -> tuple[float, np.ndarray]:
+def dob_estimates(dob: DOBState, meas: Measurement,
+                  gains: GainSet) -> tuple[float, np.ndarray]:
     """Current disturbance estimates Delta_hat = z + nu (no state change)."""
     nu_f = gains.m_bar * gains.L_f * meas.x_dot_f
     nu_m = gains.m_bar * (gains.L_m @ meas.x_dot_m)
@@ -73,12 +73,11 @@ def dob_estimates(dob: DOBState, meas: Measurement, gains: GainSet,
 
 def dob_update(dob: DOBState, meas: Measurement, u_bar_f: float, u_bar_m,
                gains: GainSet, surface: SurfaceModel, in_contact: bool,
-               dt: float) -> tuple[DOBState, float, np.ndarray]:
+               dt: float) -> DOBState:
     """Advance both observers one step under the applied inputs.
 
-    Returns the advanced state together with the estimates at the *current*
-    sample (the values a control law evaluated this step would use). The
-    z dynamics
+    The estimates a control law uses at the current sample come from
+    dob_estimates on the state *before* this update. The z dynamics
 
         z_f' = -L_f z_f + L_f(m_bar g_bar B_f^T e3 - f_f - u_bar_f - nu_f)
 
@@ -86,8 +85,6 @@ def dob_update(dob: DOBState, meas: Measurement, u_bar_f: float, u_bar_m,
     measured force enters only while contact is detected.
     """
     u_bar_m = np.asarray(u_bar_m, dtype=float).reshape(2)
-    d_f, d_m = dob_estimates(dob, meas, gains, surface)
-
     g_f = gains.m_bar * gains.g_bar * float(surface.B_f @ E3)
     g_m = gains.m_bar * gains.g_bar * (surface.B_m.T @ E3)
     f_f = meas.f_f if in_contact else 0.0
@@ -102,18 +99,16 @@ def dob_update(dob: DOBState, meas: Measurement, u_bar_f: float, u_bar_m,
     E = _expm_neg(gains.L_m, dt)
     z_m = E @ dob.z_m + (np.eye(2) - E) @ s_m
 
-    return DOBState(z_f=z_f, z_m=z_m), d_f, d_m
+    return DOBState(z_f=z_f, z_m=z_m)
 
 
 def control_force(ref: ReferenceState, meas: Measurement, delta_f_hat: float,
-                  gains: GainSet, surface: SurfaceModel, mode: str) -> float:
-    """Desired force-space input for the active mode, N."""
-    if mode != ref.mode:
-        raise ValueError("control mode does not match reference mode")
+                  gains: GainSet, surface: SurfaceModel) -> float:
+    """Desired force-space input for the reference's mode, N."""
     g_term = gains.m_bar * gains.g_bar * float(surface.B_f @ E3)
     e_xf = ref.x_fr - meas.x_f
     e_xf_dot = ref.x_fr_dot - meas.x_dot_f
-    if mode == FREE:
+    if ref.mode == FREE:
         return (gains.m_bar * ref.x_fr_ddot + gains.k_d * e_xf_dot
                 + gains.k_p * e_xf + g_term - delta_f_hat)
     e_ff = ref.f_fr - meas.f_f
@@ -143,13 +138,12 @@ def _psi(yaw: float) -> np.ndarray:
     return np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def extract_inputs(u_bar_e, phi, thrust_ceiling: float | None = None
-                   ) -> tuple[float, float, float]:
+def extract_inputs(u_bar_e, phi) -> tuple[float, float, float]:
     """Extract (T, phi_x_r, phi_y_r) realizing u_bar_e at the current attitude.
 
     Raises InfeasibleInput when the attitude is at the extraction
-    singularity, the vertical component is not positive, an asin argument
-    leaves [-1, 1], or the thrust exceeds an explicitly supplied ceiling.
+    singularity, the vertical component is not positive, or an asin argument
+    leaves [-1, 1].
     """
     u = np.asarray(u_bar_e, dtype=float).reshape(3)
     phi_x, phi_y, phi_z = float(phi[0]), float(phi[1]), float(phi[2])
@@ -159,8 +153,6 @@ def extract_inputs(u_bar_e, phi, thrust_ceiling: float | None = None
     if a[2] <= 0.0:
         raise InfeasibleInput("desired input has no upward component")
     T = a[2] / (math.cos(phi_x) * math.cos(phi_y))
-    if thrust_ceiling is not None and T > thrust_ceiling:
-        raise InfeasibleInput(f"thrust {T:.2f} N above ceiling {thrust_ceiling:.2f} N")
     s_x = a[1] / T
     if abs(s_x) > 1.0:
         raise InfeasibleInput("roll extraction out of range")

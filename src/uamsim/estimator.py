@@ -25,6 +25,12 @@ class RlseConfig:
     b_max: float = 1.0
     P0: float = 100.0
 
+    def __post_init__(self):
+        if not (0.0 < self.k_min <= self.k_max):
+            raise ValueError("invalid stiffness bounds")
+        if not (0.0 < self.b_min <= self.b_max):
+            raise ValueError("invalid damping bounds")
+
     def initial_estimate(self) -> "EnvEstimate":
         """Uninformed prior: midpoint of the admissible box, P = P0*I."""
         return EnvEstimate(
@@ -110,7 +116,3 @@ class ContactDetector:
         else:
             self._count = 0
         return self.in_contact
-
-    def reset(self) -> None:
-        self.in_contact = False
-        self._count = 0

@@ -13,6 +13,7 @@ import gc
 import json
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import estimator as estm
 from . import plant as plantmod
 from . import reference as refgen
 from . import scheduler as sched
-from .plant import (DisturbanceConfig, MeasurementNoise, Plant, PlantConfig,
+from .plant import (DisturbanceConfig, MeasurementNoise, PlantConfig,
                     PlantState, SurfaceModel)
 from .scheduler import GainBox
 
@@ -117,6 +118,15 @@ class Scenario:
             raise ValueError("duration must be nonnegative")
         if self.approach_speed <= 0.0:
             raise ValueError("approach speed must be positive")
+        if self.force_profile not in ("constant", "sinusoid"):
+            raise ValueError(f"unknown force profile {self.force_profile!r}")
+        if self.motion_profile not in ("hold", "slide"):
+            raise ValueError(f"unknown motion profile {self.motion_profile!r}")
+        steps = (1.0 / (self.ctl_rate * self.plant_dt)
+                 if self.ctl_rate > 0.0 and self.plant_dt > 0.0 else 0.0)
+        if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError("ctl_rate must give a period of a whole number "
+                             "of plant steps")
         for name in ("p_s", "slide_dir", "dist_const", "dist_amp", "dist_freq"):
             setattr(self, name, tuple(float(v) for v in getattr(self, name)))
 
@@ -134,10 +144,8 @@ class Scenario:
                 amp=np.asarray(self.dist_amp, dtype=float),
                 freq_hz=np.asarray(self.dist_freq, dtype=float),
                 tangential_friction=self.friction),
-            noise=MeasurementNoise(
-                x_f=self.noise_pos, x_dot_f=self.noise_vel,
-                x_m=self.noise_pos, x_dot_m=self.noise_vel,
-                f_f=self.noise_f_f),
+            noise=MeasurementNoise(pos=self.noise_pos, vel=self.noise_vel,
+                                   f_f=self.noise_f_f),
         )
 
     def gain_set(self) -> ctl.GainSet:
@@ -163,20 +171,16 @@ class Scenario:
     def force_setpoint(self, t_since_contact: float) -> float:
         if self.force_profile == "constant":
             return self.force_const
-        if self.force_profile == "sinusoid":
-            return self.force_mean + self.force_amp * math.cos(
-                2.0 * math.pi * t_since_contact / self.force_period)
-        raise ValueError(f"unknown force profile {self.force_profile!r}")
+        return self.force_mean + self.force_amp * math.cos(
+            2.0 * math.pi * t_since_contact / self.force_period)
 
     def motion_setpoint(self, t: float, x_m0: np.ndarray) -> np.ndarray:
         if self.motion_profile == "hold":
             return x_m0
-        if self.motion_profile == "slide":
-            d = np.asarray(self.slide_dir, dtype=float)
-            n = np.linalg.norm(d)
-            d = d / n if n > 0 else d
-            return x_m0 + d * self.slide_speed * max(0.0, t - self.slide_start)
-        raise ValueError(f"unknown motion profile {self.motion_profile!r}")
+        d = np.asarray(self.slide_dir, dtype=float)
+        n = np.linalg.norm(d)
+        d = d / n if n > 0 else d
+        return x_m0 + d * self.slide_speed * max(0.0, t - self.slide_start)
 
     # -- serialization -----------------------------------------------------
 
@@ -226,8 +230,6 @@ def preset(name: str, **overrides) -> Scenario:
 class RunLog:
     data: np.ndarray
     events: list = field(default_factory=list)
-
-    columns = LOG_COLUMNS
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float).reshape(-1, len(LOG_COLUMNS))
@@ -290,20 +292,14 @@ def validate_log(log: RunLog) -> None:
 # closed loop
 # ---------------------------------------------------------------------------
 
-def run(scenario: Scenario, on_tick=None) -> RunLog:
-    """Simulate one scenario and return the complete log.
-
-    on_tick, when given, is called at every controller tick with a dict of
-    live loop objects (t, est, gains, ref, dob, meas, in_contact); intended
-    for tests and debugging, not for control.
-    """
+def run(scenario: Scenario) -> RunLog:
+    """Simulate one scenario and return the complete log."""
     surface = scenario.surface()
     pcfg = scenario.plant_config()
     rng = np.random.default_rng(scenario.seed)
 
     p0 = surface.p_s - scenario.standoff * surface.B_f
-    state = PlantState(p_e=p0, v_e=np.zeros(3), phi=np.zeros(3))
-    plant = Plant(pcfg, surface, state, rng)
+    st = PlantState(p_e=p0, v_e=np.zeros(3), phi=np.zeros(3))
 
     gains = scenario.gain_set()
     box = scenario.gain_box()
@@ -320,7 +316,7 @@ def run(scenario: Scenario, on_tick=None) -> RunLog:
 
     dt = scenario.plant_dt
     n_steps = round(scenario.duration / dt)
-    ctl_every = max(1, round(1.0 / (scenario.ctl_rate * dt)))
+    ctl_every = round(1.0 / (scenario.ctl_rate * dt))
     dt_ctl = ctl_every * dt
     ceiling = scenario.thrust_ceiling_factor * gains.m_bar * gains.g_bar
     x_fd_target = surface.x_fs + scenario.approach_depth
@@ -330,27 +326,24 @@ def run(scenario: Scenario, on_tick=None) -> RunLog:
     T_cmd = pcfg.m_t * pcfg.g
     phi_r = np.array([0.0, 0.0, scenario.yaw_ref])
     x_fs_hat = surface.x_fs        # latched on contact detection
-    x_f_recent = []                # last few x_f samples for the latch
+    x_f_recent = deque(maxlen=scenario.contact_debounce)  # x_f for the latch
     t_contact0 = None              # first detected contact (force phase origin)
     target_k, target_b = gains.k_f, gains.b_f
     last_sched_t = -math.inf
     saturated = False
-    was_in_contact_true = state.in_contact
+    was_in_contact_true = st.in_contact
 
     for i in range(n_steps + 1):
         t = i * dt
-        st = plant.state
 
         if i % ctl_every == 0:
             if not (np.all(np.isfinite(st.p_e)) and np.all(np.isfinite(st.v_e))):
                 raise RuntimeError(f"non-finite plant state at t={t:.3f}")
 
-            meas = plant.measure()
+            meas = plantmod.measure(st, surface, pcfg, rng)
             prev_contact = detector.in_contact
             in_contact = detector.update(meas.f_f)
             x_f_recent.append(meas.x_f)
-            if len(x_f_recent) > scenario.contact_debounce:
-                x_f_recent.pop(0)
 
             if in_contact and not prev_contact:
                 events.append((t, "detector_make", f"f_f={meas.f_f:.3f}"))
@@ -388,11 +381,11 @@ def run(scenario: Scenario, on_tick=None) -> RunLog:
             else:
                 ref = refgen.free_step(ref, x_fd, x_md, scenario.omega_n, dt_ctl)
 
-            d_f, d_m = ctl.dob_estimates(dob, meas, gains, surface)
-            u_f = ctl.control_force(ref, meas, d_f, gains, surface, ref.mode)
+            d_f, d_m = ctl.dob_estimates(dob, meas, gains)
+            u_f = ctl.control_force(ref, meas, d_f, gains, surface)
             u_m = ctl.control_motion(ref, meas, d_m, gains, surface)
-            dob, _, _ = ctl.dob_update(dob, meas, u_f, u_m, gains, surface,
-                                       in_contact, dt_ctl)
+            dob = ctl.dob_update(dob, meas, u_f, u_m, gains, surface,
+                                 in_contact, dt_ctl)
 
             u_e = ctl.compose_u(u_f, u_m, surface)
             try:
@@ -420,13 +413,10 @@ def run(scenario: Scenario, on_tick=None) -> RunLog:
                 1.0 if st.in_contact else 0.0,
                 T_cmd, st.phi[0], st.phi[1], st.phi[2],
             ))
-            if on_tick is not None:
-                on_tick(dict(t=t, est=est, gains=gains, ref=ref, dob=dob,
-                             meas=meas, in_contact=in_contact))
 
         if i == n_steps:
             break
-        st = plant.step(T_cmd, phi_r)
+        st = plantmod.step(st, T_cmd, phi_r, surface, pcfg)
         if st.in_contact != was_in_contact_true:
             kind = "contact_make" if st.in_contact else "contact_break"
             events.append((st.t, kind, ""))

@@ -16,7 +16,7 @@ All quantities are SI (m, s, kg, N, rad). The inertial frame is z-up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class SurfaceModel:
 class DisturbanceConfig:
     """Exogenous force on the end-effector dynamics, N.
 
-    delta(t) = const + amp * sin(2*pi*freq_hz*t + phase), per axis, plus an
+    delta(t) = const + amp * sin(2*pi*freq_hz*t), per axis, plus an
     optional viscous tangential friction -c_t * B_m B_m^T v_e while in
     contact.
     """
@@ -100,46 +100,40 @@ class DisturbanceConfig:
     const: np.ndarray = field(default_factory=lambda: np.zeros(3))
     amp: np.ndarray = field(default_factory=lambda: np.zeros(3))
     freq_hz: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    phase: np.ndarray = field(default_factory=lambda: np.zeros(3))
     tangential_friction: float = 0.0
 
     def __post_init__(self):
-        for name in ("const", "amp", "freq_hz", "phase"):
+        for name in ("const", "amp", "freq_hz"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(3))
 
     def force(self, t: float) -> np.ndarray:
         if not self.amp.any():
             return self.const
-        return self.const + self.amp * np.sin(2.0 * math.pi * self.freq_hz * t + self.phase)
+        return self.const + self.amp * np.sin(2.0 * math.pi * self.freq_hz * t)
 
 
 @dataclass
 class MeasurementNoise:
-    """Additive zero-mean Gaussian noise std-devs for each measured channel."""
+    """Additive Gaussian noise std-devs: pos on x_f, x_m; vel on their rates."""
 
-    x_f: float = 0.0
-    x_dot_f: float = 0.0
-    x_m: float = 0.0
-    x_dot_m: float = 0.0
+    pos: float = 0.0
+    vel: float = 0.0
     f_f: float = 0.0
 
     def any(self) -> bool:
-        return any(v > 0.0 for v in (self.x_f, self.x_dot_f, self.x_m,
-                                     self.x_dot_m, self.f_f))
+        return any(v > 0.0 for v in (self.pos, self.vel, self.f_f))
 
 
 @dataclass
 class PlantConfig:
     m_t: float = 4.2            # true total mass incl. arm, kg
     g: float = 9.81
-    d: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -0.15]))
     tau_att: float = 0.0        # attitude lag time constant, s
     disturbance: DisturbanceConfig = field(default_factory=DisturbanceConfig)
     noise: MeasurementNoise = field(default_factory=MeasurementNoise)
     dt: float = 1e-3
 
     def __post_init__(self):
-        self.d = np.asarray(self.d, dtype=float).reshape(3)
         if self.m_t <= 0.0:
             raise ValueError("m_t must be positive")
         if self.dt <= 0.0:
@@ -164,10 +158,6 @@ class PlantState:
         self.p_e = np.asarray(self.p_e, dtype=float).reshape(3)
         self.v_e = np.asarray(self.v_e, dtype=float).reshape(3)
         self.phi = np.asarray(self.phi, dtype=float).reshape(3)
-
-    def com_position(self, cfg: PlantConfig) -> np.ndarray:
-        """Center-of-mass position p_t = p_e - R(phi) d."""
-        return self.p_e - rotation(self.phi) @ cfg.d
 
 
 @dataclass
@@ -219,20 +209,6 @@ def contact_force(x_f: float, x_dot_f: float, surface: SurfaceModel) -> float:
     if pen <= 0.0:
         return 0.0
     return -surface.k_e * pen - surface.b_e * x_dot_f
-
-
-def attitude_track(phi, phi_r, tau_att: float, dt: float) -> np.ndarray:
-    """One step of the first-order attitude lag toward phi_r.
-
-    Exact discretization of phi' = (phi_r - phi)/tau; tau_att = 0 snaps to
-    the reference.
-    """
-    phi = np.asarray(phi, dtype=float).reshape(3)
-    phi_r = np.asarray(phi_r, dtype=float).reshape(3)
-    if tau_att == 0.0:
-        return phi_r.copy()
-    a = 1.0 - math.exp(-dt / tau_att)
-    return phi + a * (phi_r - phi)
 
 
 def _deriv(y, t, T, phi_r, surface, cfg, bf, bfx_fs, fric):
@@ -362,30 +338,10 @@ def measure(state: PlantState, surface: SurfaceModel, cfg: PlantConfig,
     f_f = contact_force(x_f, x_dot_f, surface)
     n = cfg.noise
     if rng is not None and n.any():
-        x_f += n.x_f * rng.standard_normal()
-        x_dot_f += n.x_dot_f * rng.standard_normal()
-        x_m = x_m + n.x_m * rng.standard_normal(2)
-        x_dot_m = x_dot_m + n.x_dot_m * rng.standard_normal(2)
+        x_f += n.pos * rng.standard_normal()
+        x_dot_f += n.vel * rng.standard_normal()
+        x_m = x_m + n.pos * rng.standard_normal(2)
+        x_dot_m = x_dot_m + n.vel * rng.standard_normal(2)
         f_f += n.f_f * rng.standard_normal()
     return Measurement(x_f=x_f, x_dot_f=x_dot_f, x_m=x_m, x_dot_m=x_dot_m, f_f=f_f)
 
-
-class Plant:
-    """Stateful wrapper around the pure stepping/measuring operations."""
-
-    def __init__(self, cfg: PlantConfig, surface: SurfaceModel,
-                 state: PlantState, rng: np.random.Generator | None = None):
-        self.cfg = cfg
-        self.surface = surface
-        self.state = state
-        self.rng = rng
-
-    def step(self, T: float, phi_r) -> PlantState:
-        self.state = step(self.state, T, phi_r, self.surface, self.cfg)
-        return self.state
-
-    def measure(self) -> Measurement:
-        return measure(self.state, self.surface, self.cfg, self.rng)
-
-    def reset(self, state: PlantState) -> None:
-        self.state = replace(state)

@@ -43,8 +43,8 @@ class ReferenceState:
         self.x_mr_ddot = np.asarray(self.x_mr_ddot, dtype=float).reshape(2)
 
     @classmethod
-    def at_rest(cls, x_f: float, x_m, mode: str = FREE) -> "ReferenceState":
-        return cls(x_fr=x_f, x_mr=np.asarray(x_m, dtype=float), mode=mode)
+    def at_rest(cls, x_f: float, x_m) -> "ReferenceState":
+        return cls(x_fr=x_f, x_mr=np.asarray(x_m, dtype=float))
 
 
 def _track_step(x: float, v: float, target: float, wn: float, h: float):
@@ -99,9 +99,10 @@ def contact_step(ref: ReferenceState, f_fd: float, x_md, est: EnvEstimate,
         raise ValueError("contact_step called while not in contact mode")
     if omega_n <= 0.0:
         raise ValueError("omega_n must be positive")
+    if not est.b_hat > 0.0:
+        raise ValueError("estimated damping b_hat must be positive")
     kb = est.k_hat / est.b_hat
     inv_b = 1.0 / est.b_hat
-    assert est.b_hat > 0.0, "estimator bound invariant violated"
 
     n_sub = max(1, math.ceil(kb * dt / 0.5))
     h = dt / n_sub

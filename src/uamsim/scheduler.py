@@ -29,6 +29,7 @@ _CONDITIONS = (NS1, NS2, NS3)
 
 _REPEATED_ROOT_RTOL = 1e-9
 _MIN_AREA = 1e-9
+_N_SUPPORT = 32          # tangent lines tried along a curved region boundary
 
 
 class DegenerateDirection(Exception):
@@ -264,8 +265,7 @@ def _curve_tangent(c: float, k_e: float, b_e: float, m_t: float):
 
 
 def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
-                    b_e: float, m_t: float, box: GainBox,
-                    n_support: int = 32) -> GainRegion:
+                    b_e: float, m_t: float, box: GainBox) -> GainRegion:
     """Explicit-inequality feasible region of one no-switching condition.
 
     Returns a convex polygon clipped to the gain box (empty vertex list when
@@ -289,7 +289,7 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
 
     if cond_id == NS3:
         # band between the overdamping curve and the dB >= 0 line
-        cs = np.linspace(box.k_f_min, box.k_f_max, n_support)
+        cs = np.linspace(box.k_f_min, box.k_f_max, _N_SUPPORT)
         cands = []
         for c in cs:
             slope, icept = _curve_tangent(float(c), k_e, b_e, m_t)
@@ -336,7 +336,7 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
         # overdamping curve (valid up to the window's right edge, where the
         # band line is exactly the tangent).
         k_hi = box.k_f_max if u_max <= u_hi else (u_hi / k_e - 1.0)
-        cs = np.linspace(box.k_f_min, min(k_hi, box.k_f_max), n_support)
+        cs = np.linspace(box.k_f_min, min(k_hi, box.k_f_max), _N_SUPPORT)
         for c in cs:
             slope, icept = _curve_tangent(float(c), k_e, b_e, m_t)
             cands.append([_lower(db_slope, db_icept),
@@ -401,7 +401,16 @@ def _lambda_mode(K: float, B: float, dK: float, dB: float, i: int) -> float:
     x_a = abs((dK * la + K * dB) / (K * L))
     if x_b == 0.0 or x_a == 0.0:
         return math.inf
-    return (x_b ** (sgn * la / (lb - la))) * (x_a ** (sgn * lb / (la - lb)))
+    try:
+        return (x_b ** (sgn * la / (lb - la))) * (x_a ** (sgn * lb / (la - lb)))
+    except OverflowError:
+        # near-critical damping: the exponents overflow though the product is
+        # finite. Only here use the log form, whose last bits differ.
+        try:
+            return math.exp(sgn * (la * math.log(x_b) - lb * math.log(x_a))
+                            / (lb - la))
+        except OverflowError:
+            return math.inf
 
 
 def lambda_pair(sp: SwitchedParams) -> tuple[float, float, float]:
@@ -505,11 +514,10 @@ class ScheduleResult:
 
 
 def schedule(k_p: float, k_d: float, k_e_hat: float, b_e_hat: float,
-             m_bar: float, box: GainBox, n_support: int = 32,
-             _pattern_search=pattern_search_J) -> ScheduleResult:
+             m_bar: float, box: GainBox) -> ScheduleResult:
     """Pick force-controller gains for the current environment estimates."""
-    regions = [region_explicit(c, k_p, k_d, k_e_hat, b_e_hat, m_bar, box,
-                               n_support) for c in _CONDITIONS]
+    regions = [region_explicit(c, k_p, k_d, k_e_hat, b_e_hat, m_bar, box)
+               for c in _CONDITIONS]
     nonempty = [r for r in regions if not r.empty]
     if nonempty:
         best = max(nonempty, key=lambda r: (r.area, _TIE_RANK[r.condition_id]))
@@ -520,7 +528,7 @@ def schedule(k_p: float, k_d: float, k_e_hat: float, b_e_hat: float,
             return ScheduleResult(k_f, b_f, NS_CENTROID, best.condition_id)
         # numerically marginal sliver: fall through to the search
 
-    k_f, b_f, J = _pattern_search(k_p, k_d, k_e_hat, b_e_hat, m_bar, box)
+    k_f, b_f, J = pattern_search_J(k_p, k_d, k_e_hat, b_e_hat, m_bar, box)
     if math.isfinite(J):
         k_f, b_f = box.clamp(k_f, b_f)
         return ScheduleResult(k_f, b_f, PATTERN_SEARCH, J=J)

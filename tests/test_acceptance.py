@@ -202,13 +202,20 @@ def test_criterion_07_experiment2_slide():
             f"tilted: force={ft:.4f}N motion={mt:.5f}m")
 
 
-def test_criterion_08_rlse_convergence():
+def test_criterion_08_rlse_convergence(monkeypatch):
     sc = harness.preset("experiment1-fast", duration=17.0,
                         approach_speed=0.005, standoff=0.02,
                         contact_threshold=0.002, force_period=1.0)
     caps = []
-    log = harness.run(sc, on_tick=lambda d: caps.append(
-        _lambda_max_2x2(d["est"].P)))
+    rlse_update = harness.estm.rlse_update
+
+    def recording_update(*args, **kwargs):
+        est = rlse_update(*args, **kwargs)
+        caps.append(_lambda_max_2x2(est.P))
+        return est
+
+    monkeypatch.setattr(harness.estm, "rlse_update", recording_update)
+    log = harness.run(sc)
     t = log.column("t")
     inc = log.column("in_contact") > 0.5
     t_c = t[inc][0]
@@ -236,8 +243,8 @@ def test_criterion_09_dob_closed_forms():
     e0 = g.m_bar * g.L_f * v0 - D
     errs = []
     for _ in range(400):
-        dob, d_f, _ = ctl.dob_update(dob, meas, u_f, np.zeros(2), g, s,
-                                     False, dt)
+        d_f, _ = ctl.dob_estimates(dob, meas, g)
+        dob = ctl.dob_update(dob, meas, u_f, np.zeros(2), g, s, False, dt)
         errs.append(d_f - D)
     ts = dt * np.arange(400)
     dev_const = float(np.max(np.abs(errs - e0 * np.exp(-g.L_f * ts))))
@@ -251,7 +258,8 @@ def test_criterion_09_dob_closed_forms():
         t = k * dt
         m = Measurement(x_f=0.0, x_dot_f=c * t * t / (2.0 * g.m_bar),
                         x_m=np.zeros(2), x_dot_m=np.zeros(2), f_f=0.0)
-        dob, d_f, _ = ctl.dob_update(dob, m, u_f, np.zeros(2), g, s, False, dt)
+        d_f, _ = ctl.dob_estimates(dob, m, g)
+        dob = ctl.dob_update(dob, m, u_f, np.zeros(2), g, s, False, dt)
         err = d_f - c * t
     ramp_dev = abs(abs(err) - c / g.L_f) / (c / g.L_f)
 

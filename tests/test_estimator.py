@@ -99,6 +99,14 @@ def test_initial_estimate_midpoint():
     assert np.allclose(est.P, 100.0 * np.eye(2))
 
 
+def test_config_rejects_invalid_bounds():
+    for kw in (dict(k_min=0.0), dict(k_min=600.0), dict(b_min=-0.1),
+               dict(b_min=2.0)):
+        with pytest.raises(ValueError):
+            make_cfg(**kw)
+    make_cfg(k_min=200.0, k_max=200.0, b_min=0.5, b_max=0.5)   # point box
+
+
 # ---------------------------------------------------------------------------
 # contact detector
 # ---------------------------------------------------------------------------

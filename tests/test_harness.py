@@ -175,6 +175,21 @@ def test_scenario_validation():
         Scenario(approach_speed=0.0)
 
 
+def test_scenario_rejects_unknown_profiles():
+    with pytest.raises(ValueError):
+        Scenario(force_profile="ramp")
+    with pytest.raises(ValueError):
+        Scenario(motion_profile="circle")
+
+
+def test_scenario_rejects_fractional_controller_period():
+    # at 1 kHz, 300 Hz would be rounded to 3 plant steps (333 Hz)
+    for rate in (300.0, 2000.0, 0.0, -500.0):
+        with pytest.raises(ValueError):
+            Scenario(ctl_rate=rate)
+    assert Scenario(ctl_rate=250.0).ctl_rate == 250.0
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------

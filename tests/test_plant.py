@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from uamsim.plant import (DisturbanceConfig, MeasurementNoise, Plant,
-                          PlantConfig, PlantState, SurfaceModel,
-                          attitude_track, contact_force, measure, rotation,
-                          step, thrust_direction)
+from uamsim.plant import (DisturbanceConfig, MeasurementNoise, PlantConfig,
+                          PlantState, SurfaceModel, contact_force, measure,
+                          rotation, step, thrust_direction)
 
 
 def vertical_surface(k_e=200.0, b_e=0.5):
@@ -46,27 +45,22 @@ def test_contact_force_stiffness_part_continuous_at_boundary():
 # attitude lag
 # ---------------------------------------------------------------------------
 
-def test_attitude_track_zero_lag_identity():
-    out = attitude_track(np.zeros(3), [0.1, -0.05, 0.0], 0.0, 1e-3)
-    assert np.allclose(out, [0.1, -0.05, 0.0])
-
-
-def test_attitude_track_first_order_response():
+def test_step_attitude_lag_first_order_response():
+    # far from the surface the integrated lag phi' = (phi_r - phi)/tau_att
+    # must follow its closed form; tau_att = 0 snaps to the reference
     tau, dt = 0.1, 1e-3
+    cfg = PlantConfig(tau_att=tau, dt=dt)
+    s = vertical_surface()
+    st = PlantState(p_e=[-10.0, 0.0, 1.5], v_e=np.zeros(3), phi=np.zeros(3))
     phi_r = np.array([0.2, -0.1, 0.3])
-    phi = np.zeros(3)
+    snapped = step(st, cfg.m_t * cfg.g, phi_r, s, PlantConfig(tau_att=0.0))
+    assert np.array_equal(snapped.phi, phi_r)
     n = 500
     for _ in range(n):
-        phi = attitude_track(phi, phi_r, tau, dt)
-    t = n * dt
-    expected = phi_r * (1.0 - math.exp(-t / tau))
-    assert np.allclose(phi, expected, atol=1e-12)
-
-
-def test_attitude_track_fixed_point():
-    phi_r = np.array([0.05, 0.02, 0.0])
-    out = attitude_track(phi_r, phi_r, 0.25, 1e-3)
-    assert np.allclose(out, phi_r)
+        st = step(st, cfg.m_t * cfg.g, phi_r, s, cfg)
+        assert not st.in_contact
+    expected = phi_r * (1.0 - math.exp(-n * dt / tau))
+    assert np.allclose(st.phi, expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +242,3 @@ def test_disturbance_signal_shape():
     assert np.allclose(f0, [0.5, 0.0, 0.0])
     f = d.force(1.0 / 8.0)       # quarter period of 2 Hz
     assert f[1] == pytest.approx(1.0)
-
-
-def test_plant_wrapper_runs():
-    cfg, s, st = hover_setup()
-    plant = Plant(cfg, s, st, np.random.default_rng(0))
-    plant.step(cfg.m_t * cfg.g, np.zeros(3))
-    m = plant.measure()
-    assert math.isfinite(m.x_f)

@@ -99,6 +99,14 @@ def test_contact_step_stable_at_extreme_estimates():
     assert abs(ref.x_fr) < 1.0
 
 
+def test_contact_step_rejects_nonpositive_damping_estimate():
+    ref = ReferenceState(mode=CONTACT)
+    for b_hat in (0.0, -0.5):
+        est = EnvEstimate(k_hat=200.0, b_hat=b_hat, P=np.eye(2))
+        with pytest.raises(ValueError):
+            contact_step(ref, -6.0, [0.0, 0.0], est, WN, DT)
+
+
 def test_switch_modes_continuous_and_round_trip():
     ref = ReferenceState(x_fr=0.7, x_fr_dot=-0.1, x_mr=[0.2, 0.3], mode=FREE)
     c = switch_mode(ref, CONTACT, f_f_measured=-0.5)

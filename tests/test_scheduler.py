@@ -284,11 +284,12 @@ def test_pattern_search_multistart_consistency():
 # scheduling procedure
 # ---------------------------------------------------------------------------
 
-def test_schedule_fallback_on_nonfinite_search():
+def test_schedule_fallback_on_nonfinite_search(monkeypatch):
     def broken_search(*args, **kwargs):
         return 0.5, 20.0, math.inf
 
-    res = schedule(23.5, 19.5, 200.0, 0.5, 4.0, BOX, _pattern_search=broken_search)
+    monkeypatch.setattr(sched, "pattern_search_J", broken_search)
+    res = schedule(23.5, 19.5, 200.0, 0.5, 4.0, BOX)
     assert res.provenance == sched.FALLBACK
     assert res.k_f == pytest.approx(0.1)
     assert res.b_f == pytest.approx(19.5)
@@ -329,6 +330,19 @@ def test_schedule_respects_box_and_certifies_random_draws():
         if res.provenance == sched.NS_CENTROID:
             sp = switched_params(23.5, 19.5, res.k_f, res.b_f, k_e, b_e, m_t)
             assert check_no_switch(res.condition_id, sp)
+
+
+def test_schedule_near_critical_contact_mode_stays_finite():
+    # at the corner seed (k_f 0.1, b_f 40) the contact mode is within ~1e-5
+    # of critical damping but outside the repeated-root tolerance, where
+    # the real-root exponents of the contraction factor overflow
+    k_e, b_e, m_t = 74.84128427624456, 0.42624656341812006, 4.973329405993329
+    res = schedule(23.5, 19.5, k_e, b_e, m_t, GainBox())
+    assert BOX.k_f_min <= res.k_f <= BOX.k_f_max
+    assert BOX.b_f_min <= res.b_f <= BOX.b_f_max
+    sp = switched_params(23.5, 19.5, 0.1, 40.0, k_e, b_e, m_t)
+    measured = cycle_contraction(sp.K1, sp.B1, sp.K2, sp.B2)
+    assert lambda_pair(sp)[2] == pytest.approx(measured, rel=1e-9)
 
 
 def test_j_cost_penalties_anchor_midpoint():
