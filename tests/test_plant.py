@@ -45,16 +45,26 @@ def test_contact_force_stiffness_part_continuous_at_boundary():
 # attitude lag
 # ---------------------------------------------------------------------------
 
-def test_step_attitude_lag_first_order_response():
-    # far from the surface the integrated lag phi' = (phi_r - phi)/tau_att
-    # must follow its closed form; tau_att = 0 snaps to the reference
+def free_space_state():
+    return PlantState(p_e=[-10.0, 0.0, 1.5], v_e=np.zeros(3), phi=np.zeros(3))
+
+
+def test_attitude_track_zero_lag_identity():
+    # tau_att = 0: one step of the plant snaps the attitude to the reference
+    cfg = PlantConfig(tau_att=0.0, dt=1e-3)
+    phi_r = np.array([0.1, -0.05, 0.0])
+    out = step(free_space_state(), cfg.m_t * cfg.g, phi_r, vertical_surface(), cfg)
+    assert np.array_equal(out.phi, phi_r)
+
+
+def test_attitude_track_first_order_response():
+    # far from the surface the lag phi' = (phi_r - phi)/tau_att integrated by
+    # the plant step must follow its closed form
     tau, dt = 0.1, 1e-3
     cfg = PlantConfig(tau_att=tau, dt=dt)
     s = vertical_surface()
-    st = PlantState(p_e=[-10.0, 0.0, 1.5], v_e=np.zeros(3), phi=np.zeros(3))
+    st = free_space_state()
     phi_r = np.array([0.2, -0.1, 0.3])
-    snapped = step(st, cfg.m_t * cfg.g, phi_r, s, PlantConfig(tau_att=0.0))
-    assert np.array_equal(snapped.phi, phi_r)
     n = 500
     for _ in range(n):
         st = step(st, cfg.m_t * cfg.g, phi_r, s, cfg)
