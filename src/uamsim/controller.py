@@ -31,20 +31,18 @@ class InfeasibleInput(Exception):
 class GainSet:
     k_p: float = 23.5
     k_d: float = 19.5
-    K_mp: np.ndarray = field(default_factory=lambda: 23.5 * np.eye(2))
-    K_md: np.ndarray = field(default_factory=lambda: 19.5 * np.eye(2))
+    K_mp: float = 23.5           # motion-plane gains, the same on both axes
+    K_md: float = 19.5
     k_f: float = 0.55            # scheduled force gains (live values)
     b_f: float = 25.0
     L_f: float = 10.0
-    L_m: np.ndarray = field(default_factory=lambda: 10.0 * np.eye(2))
+    L_m: float = 10.0
     m_bar: float = 4.2           # nominal mass, kg
     g_bar: float = 9.81
 
     def __post_init__(self):
-        self.K_mp = np.asarray(self.K_mp, dtype=float).reshape(2, 2)
-        self.K_md = np.asarray(self.K_md, dtype=float).reshape(2, 2)
-        self.L_m = np.asarray(self.L_m, dtype=float).reshape(2, 2)
-        if min(self.k_p, self.k_d, self.L_f, self.m_bar) <= 0.0:
+        if min(self.k_p, self.k_d, self.K_mp, self.K_md, self.L_f, self.L_m,
+               self.m_bar) <= 0.0:
             raise ValueError("controller gains must be positive")
 
 
@@ -57,17 +55,11 @@ class DOBState:
         self.z_m = np.asarray(self.z_m, dtype=float).reshape(2)
 
 
-def _expm_neg(L: np.ndarray, dt: float) -> np.ndarray:
-    """expm(-L dt) for a symmetric positive definite 2x2 gain."""
-    w, V = np.linalg.eigh(np.asarray(L, dtype=float))
-    return (V * np.exp(-w * dt)) @ V.T
-
-
 def dob_estimates(dob: DOBState, meas: Measurement,
                   gains: GainSet) -> tuple[float, np.ndarray]:
     """Current disturbance estimates Delta_hat = z + nu (no state change)."""
     nu_f = gains.m_bar * gains.L_f * meas.x_dot_f
-    nu_m = gains.m_bar * (gains.L_m @ meas.x_dot_m)
+    nu_m = gains.m_bar * (gains.L_m * meas.x_dot_m)
     return dob.z_f + nu_f, dob.z_m + nu_m
 
 
@@ -94,10 +86,10 @@ def dob_update(dob: DOBState, meas: Measurement, u_bar_f: float, u_bar_m,
     a = math.exp(-gains.L_f * dt)
     z_f = a * dob.z_f + (1.0 - a) * s_f
 
-    nu_m = gains.m_bar * (gains.L_m @ meas.x_dot_m)
+    nu_m = gains.m_bar * (gains.L_m * meas.x_dot_m)
     s_m = g_m - u_bar_m - nu_m
-    E = _expm_neg(gains.L_m, dt)
-    z_m = E @ dob.z_m + (np.eye(2) - E) @ s_m
+    b = math.exp(-gains.L_m * dt)
+    z_m = b * dob.z_m + (1.0 - b) * s_m
 
     return DOBState(z_f=z_f, z_m=z_m)
 
@@ -123,8 +115,8 @@ def control_motion(ref: ReferenceState, meas: Measurement, delta_m_hat,
     e_xm = ref.x_mr - meas.x_m
     e_xm_dot = ref.x_mr_dot - meas.x_dot_m
     g_term = gains.m_bar * gains.g_bar * (surface.B_m.T @ E3)
-    return (gains.m_bar * ref.x_mr_ddot + gains.K_md @ e_xm_dot
-            + gains.K_mp @ e_xm + g_term - delta_m_hat)
+    return (gains.m_bar * ref.x_mr_ddot + gains.K_md * e_xm_dot
+            + gains.K_mp * e_xm + g_term - delta_m_hat)
 
 
 def compose_u(u_bar_f: float, u_bar_m, surface: SurfaceModel) -> np.ndarray:

@@ -127,6 +127,8 @@ class Scenario:
         if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError("ctl_rate must give a period of a whole number "
                              "of plant steps")
+        if self.contact_debounce < 1:
+            raise ValueError("contact_debounce must be at least 1")
         for name in ("p_s", "slide_dir", "dist_const", "dist_amp", "dist_freq"):
             setattr(self, name, tuple(float(v) for v in getattr(self, name)))
 
@@ -153,8 +155,8 @@ class Scenario:
         mk, mb = box.mid
         return ctl.GainSet(
             k_p=self.k_p, k_d=self.k_d,
-            K_mp=self.K_m * np.eye(2), K_md=self.K_md * np.eye(2),
-            k_f=mk, b_f=mb, L_f=self.L_f, L_m=self.L_m * np.eye(2),
+            K_mp=self.K_m, K_md=self.K_md,
+            k_f=mk, b_f=mb, L_f=self.L_f, L_m=self.L_m,
             m_bar=self.m_bar if self.m_bar is not None else self.m_t,
             g_bar=self.g)
 
@@ -516,8 +518,9 @@ def bench_scheduler(N_list, reps: int = 20, k_p: float = 23.5,
                     m_t: float = 4.0, box: GainBox | None = None) -> dict:
     """Median wall time of grid search vs explicit inequalities per N.
 
-    Returns {"rows": [(N, t_grid, t_explicit)], "grid_exponent": float}.
-    Both methods compute all three no-switching regions.
+    Returns {"rows": [(N, t_grid, t_explicit)], "grid_exponent": float},
+    the exponent being the median over repetitions of the log-log slope of
+    the grid times. Both methods compute all three no-switching regions.
     """
     if not N_list:
         raise ValueError("need at least one N")
@@ -557,10 +560,11 @@ def bench_scheduler(N_list, reps: int = 20, k_p: float = 23.5,
 
     expo = math.nan
     if len(rows) >= 2:
-        # fit on per-size minima: the least load-contaminated cost estimate
+        # the sizes of one repetition run back to back, so they share the
+        # machine's load; fit each repetition and take the median slope
         lx = np.log(list(N_list))
-        ly = np.log([min(tg[N]) for N in N_list])
-        expo = float(np.polyfit(lx, ly, 1)[0])
+        expo = float(np.median([np.polyfit(lx, np.log(ts), 1)[0]
+                                for ts in zip(*(tg[N] for N in N_list))]))
     return {"rows": rows, "grid_exponent": expo}
 
 

@@ -211,64 +211,63 @@ def contact_force(x_f: float, x_dot_f: float, surface: SurfaceModel) -> float:
     return -surface.k_e * pen - surface.b_e * x_dot_f
 
 
-def _deriv(y, t, T, phi_r, surface, cfg, bf, bfx_fs, fric):
-    """Time derivative of y = (p_e, v_e, phi); scalar math on the hot path."""
-    px, py, pz, vx, vy, vz = y[0], y[1], y[2], y[3], y[4], y[5]
-    m = cfg.m_t
-
-    tx, ty, tz = thrust_direction(y[6:9])
-
-    dist = cfg.disturbance.force(t)
-    fx = T * tx + dist[0]
-    fy = T * ty + dist[1]
-    fz = T * tz + dist[2] - m * cfg.g
-
-    x_f = bf[0] * px + bf[1] * py + bf[2] * pz
-    pen = x_f - bfx_fs
-    if pen > 0.0:
-        x_dot_f = bf[0] * vx + bf[1] * vy + bf[2] * vz
-        f = -surface.k_e * pen - surface.b_e * x_dot_f
-        fx += f * bf[0]
-        fy += f * bf[1]
-        fz += f * bf[2]
-        if fric > 0.0:
-            # viscous tangential friction: -c * B_m B_m^T v_e
-            vt = np.array([vx, vy, vz]) - x_dot_f * bf
-            fx -= fric * vt[0]
-            fy -= fric * vt[1]
-            fz -= fric * vt[2]
-
-    out = np.empty(9)
-    out[0], out[1], out[2] = vx, vy, vz
-    out[3], out[4], out[5] = fx / m, fy / m, fz / m
-    if cfg.tau_att > 0.0:
-        out[6:9] = (phi_r - y[6:9]) / cfg.tau_att
-    else:
-        out[6:9] = 0.0
-    return out
+def rk4(f, t: float, y: list, h: float) -> list:
+    """One classical 4th-order Runge-Kutta step of y' = f(t, y), y a list."""
+    h2 = 0.5 * h
+    k1 = f(t, y)
+    k2 = f(t + h2, [a + h2 * k for a, k in zip(y, k1)])
+    k3 = f(t + h2, [a + h2 * k for a, k in zip(y, k2)])
+    k4 = f(t + h, [a + h * k for a, k in zip(y, k3)])
+    h6 = h / 6.0
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def _rk4(y, t, h, T, phi_r, surface, cfg, bf, bfx_fs, fric):
-    k1 = _deriv(y, t, T, phi_r, surface, cfg, bf, bfx_fs, fric)
-    k2 = _deriv(y + 0.5 * h * k1, t + 0.5 * h, T, phi_r, surface, cfg, bf, bfx_fs, fric)
-    k3 = _deriv(y + 0.5 * h * k2, t + 0.5 * h, T, phi_r, surface, cfg, bf, bfx_fs, fric)
-    k4 = _deriv(y + h * k3, t + h, T, phi_r, surface, cfg, bf, bfx_fs, fric)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _dynamics(T: float, phi_r, surface: SurfaceModel, cfg: PlantConfig):
+    """The plant's y' = f(t, y), y = p_e + v_e + phi, under fixed commands."""
+    m, g, tau = cfg.m_t, cfg.g, cfg.tau_att
+    k_e, b_e, x_fs = surface.k_e, surface.b_e, surface.x_fs
+    bx, by, bz = surface.B_f.tolist()
+    dist = cfg.disturbance
+    fric = dist.tangential_friction
 
+    def f(t, y):
+        px, py, pz, vx, vy, vz = y[:6]
+        tx, ty, tz = thrust_direction(y[6:9])
+        dx, dy, dz = dist.force(t).tolist()
+        fx = T * tx + dx
+        fy = T * ty + dy
+        fz = T * tz + dz - m * g
 
-def _penetration(y, bf, bfx_fs) -> float:
-    return bf[0] * y[0] + bf[1] * y[1] + bf[2] * y[2] - bfx_fs
+        pen = bx * px + by * py + bz * pz - x_fs
+        if pen > 0.0:
+            x_dot_f = bx * vx + by * vy + bz * vz
+            fn = -k_e * pen - b_e * x_dot_f
+            fx += fn * bx
+            fy += fn * by
+            fz += fn * bz
+            if fric > 0.0:
+                # viscous tangential friction: -c * B_m B_m^T v_e
+                fx -= fric * (vx - x_dot_f * bx)
+                fy -= fric * (vy - x_dot_f * by)
+                fz -= fric * (vz - x_dot_f * bz)
+
+        dphi = ([(a - b) / tau for a, b in zip(phi_r, y[6:9])] if tau > 0.0
+                else [0.0, 0.0, 0.0])
+        return [vx, vy, vz, fx / m, fy / m, fz / m] + dphi
+
+    return f
 
 
 _BISECT_TOL = 1e-6   # m, penetration resolution at a contact switch
 _MAX_SPLITS = 8
 
 
-def _step_with_events(y, t, h, T, phi_r, surface, cfg, bf, bfx_fs, fric, depth=0):
+def _step_with_events(f, pen, y, t, h, depth=0):
     """RK4 step of length h, subdividing at contact boundary crossings."""
-    y1 = _rk4(y, t, h, T, phi_r, surface, cfg, bf, bfx_fs, fric)
-    pen0 = _penetration(y, bf, bfx_fs)
-    pen1 = _penetration(y1, bf, bfx_fs)
+    y1 = rk4(f, t, y, h)
+    pen0 = pen(y)
+    pen1 = pen(y1)
     if depth >= _MAX_SPLITS or (pen0 > 0.0) == (pen1 > 0.0):
         return y1
     if abs(pen1) <= _BISECT_TOL:
@@ -278,8 +277,8 @@ def _step_with_events(y, t, h, T, phi_r, surface, cfg, bf, bfx_fs, fric, depth=0
     yc = y1
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        ym = _rk4(y, t, mid, T, phi_r, surface, cfg, bf, bfx_fs, fric)
-        pm = _penetration(ym, bf, bfx_fs)
+        ym = rk4(f, t, y, mid)
+        pm = pen(ym)
         if (pm > 0.0) == (pen0 > 0.0):
             lo = mid
         else:
@@ -293,8 +292,7 @@ def _step_with_events(y, t, h, T, phi_r, surface, cfg, bf, bfx_fs, fric, depth=0
     rem = h - h_used
     if rem <= 0.0:
         return yc
-    return _step_with_events(yc, t + h_used, rem, T, phi_r, surface, cfg,
-                             bf, bfx_fs, fric, depth + 1)
+    return _step_with_events(f, pen, yc, t + h_used, rem, depth + 1)
 
 
 def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
@@ -306,26 +304,22 @@ def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
     if T < 0.0:
         raise ValueError("thrust must be nonnegative")
 
-    y = np.empty(9)
-    y[0:3] = state.p_e
-    y[3:6] = state.v_e
-    y[6:9] = state.phi
+    bx, by, bz = surface.B_f.tolist()
+    x_fs = surface.x_fs
 
-    bf = surface.B_f
-    bfx_fs = surface.x_fs
-    fric = cfg.disturbance.tangential_friction
+    def pen(y):
+        return bx * y[0] + by * y[1] + bz * y[2] - x_fs
 
-    if cfg.tau_att == 0.0:
-        y[6:9] = phi_r
-
-    y1 = _step_with_events(y, state.t, cfg.dt, T, phi_r, surface, cfg,
-                           bf, bfx_fs, fric)
+    phi_r = phi_r.tolist()
+    phi = phi_r if cfg.tau_att == 0.0 else state.phi.tolist()
+    y = state.p_e.tolist() + state.v_e.tolist() + phi
+    y1 = _step_with_events(_dynamics(T, phi_r, surface, cfg), pen, y,
+                           state.t, cfg.dt)
     if cfg.tau_att == 0.0:
         y1[6:9] = phi_r
 
-    pen = _penetration(y1, bf, bfx_fs)
     return PlantState(p_e=y1[0:3], v_e=y1[3:6], phi=y1[6:9],
-                      in_contact=pen > 0.0, t=state.t + cfg.dt)
+                      in_contact=pen(y1) > 0.0, t=state.t + cfg.dt)
 
 
 def measure(state: PlantState, surface: SurfaceModel, cfg: PlantConfig,

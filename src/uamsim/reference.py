@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimator import EnvEstimate
+from .plant import rk4
 
 FREE = "free"
 CONTACT = "contact"
@@ -47,28 +48,21 @@ class ReferenceState:
         return cls(x_fr=x_f, x_mr=np.asarray(x_m, dtype=float))
 
 
-def _track_step(x: float, v: float, target: float, wn: float, h: float):
-    """One RK4 step of x'' = -2 wn x' - wn^2 (x - target)."""
-    def f(xx, vv):
-        return vv, -2.0 * wn * vv - wn * wn * (xx - target)
+def _track(x, v, target, wn: float, dt: float):
+    """One RK4 step of x'' = -2 wn x' - wn^2 (x - target) for each coordinate.
 
-    k1x, k1v = f(x, v)
-    k2x, k2v = f(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-    k3x, k3v = f(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-    k4x, k4v = f(x + h * k3x, v + h * k3v)
-    x1 = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-    v1 = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-    return x1, v1
+    Returns the lists of positions, velocities and accelerations after the step.
+    """
+    n = len(x)
 
+    def f(t, y):
+        return y[n:] + [-2.0 * wn * vv - wn * wn * (xx - c)
+                        for xx, vv, c in zip(y, y[n:], target)]
 
-def _motion_step(ref: ReferenceState, x_md, omega_n: float, dt: float):
-    x_md = np.asarray(x_md, dtype=float).reshape(2)
-    xm = ref.x_mr.copy()
-    vm = ref.x_mr_dot.copy()
-    for i in range(2):
-        xm[i], vm[i] = _track_step(xm[i], vm[i], x_md[i], omega_n, dt)
-    am = -2.0 * omega_n * vm - omega_n ** 2 * (xm - x_md)
-    return xm, vm, am
+    y = rk4(f, 0.0, x + v, dt)
+    x, v = y[:n], y[n:]
+    a = [-2.0 * wn * vv - wn ** 2 * (xx - c) for xx, vv, c in zip(x, v, target)]
+    return x, v, a
 
 
 def free_step(ref: ReferenceState, x_fd: float, x_md, omega_n: float,
@@ -78,9 +72,10 @@ def free_step(ref: ReferenceState, x_fd: float, x_md, omega_n: float,
         raise ValueError("free_step called while not in free mode")
     if omega_n <= 0.0:
         raise ValueError("omega_n must be positive")
-    xf, vf = _track_step(ref.x_fr, ref.x_fr_dot, x_fd, omega_n, dt)
-    af = -2.0 * omega_n * vf - omega_n ** 2 * (xf - x_fd)
-    xm, vm, am = _motion_step(ref, x_md, omega_n, dt)
+    x_md = np.asarray(x_md, dtype=float).reshape(2).tolist()
+    (xf, *xm), (vf, *vm), (af, *am) = _track(
+        [ref.x_fr] + ref.x_mr.tolist(), [ref.x_fr_dot] + ref.x_mr_dot.tolist(),
+        [x_fd] + x_md, omega_n, dt)
     return ReferenceState(x_fr=xf, x_fr_dot=vf, x_fr_ddot=af,
                           f_fr=0.0, f_fr_dot=0.0,
                           x_mr=xm, x_mr_dot=vm, x_mr_ddot=am, mode=FREE)
@@ -106,27 +101,20 @@ def contact_step(ref: ReferenceState, f_fd: float, x_md, est: EnvEstimate,
 
     n_sub = max(1, math.ceil(kb * dt / 0.5))
     h = dt / n_sub
-    f, fd = ref.f_fr, ref.f_fr_dot
-    x, v = ref.x_fr, ref.x_fr_dot
 
-    def deriv(ff, ffd, xx, vv):
+    def deriv(t, y):
+        ff, ffd, xx, vv = y
         fdd = -2.0 * omega_n * ffd - omega_n ** 2 * (ff - f_fd)
-        xdd = -kb * vv - inv_b * ffd
-        return ffd, fdd, vv, xdd
+        return [ffd, fdd, vv, -kb * vv - inv_b * ffd]
 
+    y = [ref.f_fr, ref.f_fr_dot, ref.x_fr, ref.x_fr_dot]
     for _ in range(n_sub):
-        k1 = deriv(f, fd, x, v)
-        k2 = deriv(f + 0.5 * h * k1[0], fd + 0.5 * h * k1[1],
-                   x + 0.5 * h * k1[2], v + 0.5 * h * k1[3])
-        k3 = deriv(f + 0.5 * h * k2[0], fd + 0.5 * h * k2[1],
-                   x + 0.5 * h * k2[2], v + 0.5 * h * k2[3])
-        k4 = deriv(f + h * k3[0], fd + h * k3[1], x + h * k3[2], v + h * k3[3])
-        f += (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        fd += (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        x += (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        v += (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+        y = rk4(deriv, 0.0, y, h)
+    f, fd, x, v = y
 
-    xm, vm, am = _motion_step(ref, x_md, omega_n, dt)
+    x_md = np.asarray(x_md, dtype=float).reshape(2).tolist()
+    xm, vm, am = _track(ref.x_mr.tolist(), ref.x_mr_dot.tolist(), x_md,
+                        omega_n, dt)
     return ReferenceState(
         x_fr=x, x_fr_dot=v, x_fr_ddot=-kb * v - inv_b * fd,
         f_fr=f, f_fr_dot=fd,

@@ -190,6 +190,14 @@ def test_scenario_rejects_fractional_controller_period():
     assert Scenario(ctl_rate=250.0).ctl_rate == 250.0
 
 
+def test_scenario_rejects_contact_debounce_below_one():
+    # the contact latch keeps the last contact_debounce samples of x_f
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            Scenario(contact_debounce=n)
+    assert Scenario(contact_debounce=1).contact_debounce == 1
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------

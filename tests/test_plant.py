@@ -5,7 +5,7 @@ import pytest
 
 from uamsim.plant import (DisturbanceConfig, MeasurementNoise, PlantConfig,
                           PlantState, SurfaceModel, contact_force, measure,
-                          rotation, step, thrust_direction)
+                          rk4, rotation, step, thrust_direction)
 
 
 def vertical_surface(k_e=200.0, b_e=0.5):
@@ -141,7 +141,7 @@ def test_step_rejects_nonfinite():
 def test_step_acceleration_identity_at_evaluation_point():
     # with tau_att = 0 and no disturbance the evaluated acceleration equals
     # -g e3 + (T R e3 + f_e)/m_t exactly
-    from uamsim.plant import _deriv
+    from uamsim.plant import _dynamics
 
     cfg = PlantConfig(m_t=4.2)
     s = vertical_surface()
@@ -149,12 +149,37 @@ def test_step_acceleration_identity_at_evaluation_point():
     st = PlantState(p_e=[0.95, 0.0, 1.5], v_e=[0.2, 0.0, 0.0], phi=phi_r)
     T = 45.0
     y = np.concatenate([st.p_e, st.v_e, st.phi])
-    d = _deriv(y, 0.0, T, phi_r, s, cfg, s.B_f, s.x_fs, 0.0)
+    d = np.array(_dynamics(T, phi_r, s, cfg)(0.0, y.tolist()))
     f_c = contact_force(float(s.B_f @ st.p_e), float(s.B_f @ st.v_e), s)
     a_exp = (-cfg.g * np.array([0, 0, 1.0])
              + (T * np.array(thrust_direction(phi_r)) + f_c * s.B_f) / cfg.m_t)
     assert np.allclose(d[0:3], st.v_e, atol=0.0)
     assert np.allclose(d[3:6], a_exp, atol=1e-14)
+
+
+def test_rk4_exponential_decay_matches_taylor_polynomial():
+    # one step of y' = -y from 1 is the 4th-order Taylor polynomial of e^-h
+    for h in (0.1, 0.5, 1e-3):
+        (y,) = rk4(lambda t, y: [-y[0]], 0.0, [1.0], h)
+        assert abs(y - (1 - h + h**2 / 2 - h**3 / 6 + h**4 / 24)) <= 1e-15
+
+
+def test_rk4_exact_on_cubic_in_time():
+    for h in (0.1, 0.7, 1e-3):
+        (y,) = rk4(lambda t, y: [3.0 * t**2], 0.0, [0.0], h)
+        assert abs(y - h**3) <= 1e-15
+
+
+def test_rk4_coupled_oscillator_matches_matrix_polynomial():
+    # x' = v, v' = -x: one step multiplies the state by
+    # sum_{j<=4} (h A)^j / j! with A = [[0, 1], [-1, 0]]
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    y0 = np.array([0.3, -1.2])
+    for h in (0.1, 0.5):
+        P = sum(np.linalg.matrix_power(h * A, j) / math.factorial(j)
+                for j in range(5))
+        y = rk4(lambda t, y: [y[1], -y[0]], 0.0, y0.tolist(), h)
+        assert np.allclose(y, P @ y0, rtol=0.0, atol=1e-15)
 
 
 def test_step_halving_dt_first_order_endpoint():
