@@ -30,18 +30,15 @@ def _run_one(ref: str, out_dir: str, seed, duration) -> dict:
     base = os.path.join(out_dir, sc.name)
     log.write_csv(base + "_log.csv")
     log.write_events_csv(base + "_events.csv")
-    if log.n_samples:
-        m = harness.metrics(log)
-        with open(base + "_metrics.txt", "w") as fh:
-            fh.write(harness.metrics_text(m))
-    else:
-        m = {}
+    m = harness.metrics(log)
+    with open(base + "_metrics.txt", "w") as fh:
+        fh.write(harness.metrics_text(m))
     return m
 
 
 def cmd_run(args) -> int:
     m = _run_one(args.scenario, args.out, args.seed, args.duration)
-    for line in harness.metrics_text(m).splitlines() if m else []:
+    for line in harness.metrics_text(m).splitlines():
         print(line)
     print(f"wrote logs to {args.out}")
     return 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .plant import E3, Measurement, SurfaceModel, thrust_direction
+from .plant import Measurement, SurfaceModel, thrust_direction
 from .reference import FREE, ReferenceState
 
 
@@ -77,8 +77,8 @@ def dob_update(dob: DOBState, meas: Measurement, u_bar_f: float, u_bar_m,
     measured force enters only while contact is detected.
     """
     u_bar_m = np.asarray(u_bar_m, dtype=float).reshape(2)
-    g_f = gains.m_bar * gains.g_bar * float(surface.B_f @ E3)
-    g_m = gains.m_bar * gains.g_bar * (surface.B_m.T @ E3)
+    g_f = gains.m_bar * gains.g_bar * float(surface.B_f[2])
+    g_m = gains.m_bar * gains.g_bar * surface.B_m[2]
     f_f = meas.f_f if in_contact else 0.0
 
     nu_f = gains.m_bar * gains.L_f * meas.x_dot_f
@@ -97,7 +97,7 @@ def dob_update(dob: DOBState, meas: Measurement, u_bar_f: float, u_bar_m,
 def control_force(ref: ReferenceState, meas: Measurement, delta_f_hat: float,
                   gains: GainSet, surface: SurfaceModel) -> float:
     """Desired force-space input for the reference's mode, N."""
-    g_term = gains.m_bar * gains.g_bar * float(surface.B_f @ E3)
+    g_term = gains.m_bar * gains.g_bar * float(surface.B_f[2])
     e_xf = ref.x_fr - meas.x_f
     e_xf_dot = ref.x_fr_dot - meas.x_dot_f
     if ref.mode == FREE:
@@ -114,7 +114,7 @@ def control_motion(ref: ReferenceState, meas: Measurement, delta_m_hat,
     delta_m_hat = np.asarray(delta_m_hat, dtype=float).reshape(2)
     e_xm = ref.x_mr - meas.x_m
     e_xm_dot = ref.x_mr_dot - meas.x_dot_m
-    g_term = gains.m_bar * gains.g_bar * (surface.B_m.T @ E3)
+    g_term = gains.m_bar * gains.g_bar * surface.B_m[2]
     return (gains.m_bar * ref.x_mr_ddot + gains.K_md * e_xm_dot
             + gains.K_mp * e_xm + g_term - delta_m_hat)
 

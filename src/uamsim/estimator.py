@@ -75,10 +75,10 @@ def rlse_update(est: EnvEstimate, x_f: float, x_dot_f: float, f_f: float,
     theta = np.array([est.k_hat, est.b_hat])
     P = est.P
 
-    eps = f_f - float(Y @ theta)
-    theta = theta + dt * (P @ Y) * eps
-
     PY = P @ Y
+    eps = f_f - float(Y @ theta)
+    theta = theta + dt * PY * eps
+
     P_dot = cfg.mu1 * P - cfg.mu2 * np.outer(PY, PY)
     P_new = P + dt * P_dot
     P_new = 0.5 * (P_new + P_new.T)

@@ -129,8 +129,14 @@ class Scenario:
                              "of plant steps")
         if self.contact_debounce < 1:
             raise ValueError("contact_debounce must be at least 1")
+        if self.omega_n <= 0.0:
+            raise ValueError("omega_n must be positive")
         for name in ("p_s", "slide_dir", "dist_const", "dist_amp", "dist_freq"):
             setattr(self, name, tuple(float(v) for v in getattr(self, name)))
+        # each component checks its own parameters when it is built
+        for build in (self.surface, self.plant_config, self.gain_set,
+                      self.rlse_config):
+            build()
 
     # -- wiring helpers ----------------------------------------------------
 
@@ -332,7 +338,7 @@ def run(scenario: Scenario) -> RunLog:
     t_contact0 = None              # first detected contact (force phase origin)
     target_k, target_b = gains.k_f, gains.b_f
     last_sched_t = -math.inf
-    saturated = False
+    saturated = holding = False
     was_in_contact_true = st.in_contact
 
     for i in range(n_steps + 1):
@@ -390,14 +396,23 @@ def run(scenario: Scenario) -> RunLog:
                                  in_contact, dt_ctl)
 
             u_e = ctl.compose_u(u_f, u_m, surface)
+            held = False
             try:
                 T_cmd, phi_xr, phi_yr = ctl.extract_inputs(u_e, st.phi)
             except ctl.InfeasibleInput:
                 # large attitude error puts the yaw-aligned extraction
                 # outside its asin domain; the exact inversion still
                 # realizes any input with an upward component
-                T_cmd, phi_xr, phi_yr = ctl.invert_inputs(u_e, scenario.yaw_ref)
-                events.append((t, "extraction_fallback", f"T={T_cmd:.1f}"))
+                try:
+                    T_cmd, phi_xr, phi_yr = ctl.invert_inputs(u_e, scenario.yaw_ref)
+                    events.append((t, "extraction_fallback", f"T={T_cmd:.1f}"))
+                except ctl.InfeasibleInput:
+                    # no thrust realizes it: hold the previous tick's command
+                    held = True
+                    phi_xr, phi_yr = phi_r[0], phi_r[1]
+                    if not holding:
+                        events.append((t, "extraction_hold", f"u_z={u_e[2]:.3f}"))
+            holding = held
             if T_cmd > ceiling:
                 T_cmd = ceiling
                 if not saturated:
@@ -424,8 +439,7 @@ def run(scenario: Scenario) -> RunLog:
             events.append((st.t, kind, ""))
             was_in_contact_true = st.in_contact
 
-    data = np.array(rows) if rows else np.empty((0, len(LOG_COLUMNS)))
-    return RunLog(data=data, events=events)
+    return RunLog(data=np.array(rows), events=events)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ class SurfaceModel:
     p_s: np.ndarray
     k_e: float = 200.0
     b_e: float = 0.5
+    x_fs: float = field(init=False)   # coordinate of p_s along B_f
 
     def __post_init__(self):
         self.B_f = np.asarray(self.B_f, dtype=float).reshape(3)
@@ -49,6 +50,7 @@ class SurfaceModel:
         if self.k_e <= 0.0 or self.b_e <= 0.0:
             raise ValueError("surface stiffness/damping must be positive")
         self.validate_basis()
+        self.x_fs = float(self.B_f @ self.p_s)
 
     def validate_basis(self, tol: float = 1e-12) -> None:
         """Check [B_f B_m] is orthonormal to within tol."""
@@ -56,11 +58,6 @@ class SurfaceModel:
         err = np.abs(M.T @ M - np.eye(3)).max()
         if err > tol:
             raise ValueError(f"[B_f B_m] not orthonormal (max deviation {err:.3e})")
-
-    @property
-    def x_fs(self) -> float:
-        """Surface coordinate of the contact point along B_f."""
-        return float(self.B_f @ self.p_s)
 
     @classmethod
     def from_tilt(cls, tilt_deg: float, yaw_deg: float = 0.0,

@@ -122,8 +122,6 @@ class GainBox:
 
 def _clip_halfplane(poly, a, b, c):
     """Sutherland-Hodgman clip of a convex polygon against a*k + b*v <= c."""
-    if not poly:
-        return []
     out = []
     n = len(poly)
     for i in range(n):
@@ -143,8 +141,6 @@ def _clip_halfplane(poly, a, b, c):
 
 
 def _polygon_area(poly) -> float:
-    if len(poly) < 3:
-        return 0.0
     s = 0.0
     n = len(poly)
     for i in range(n):
@@ -155,7 +151,7 @@ def _polygon_area(poly) -> float:
 
 
 def _polygon_centroid(poly) -> tuple[float, float]:
-    """Area-weighted centroid; falls back to the vertex mean for slivers."""
+    """Area-weighted centroid of a polygon with nonzero area."""
     n = len(poly)
     a2 = 0.0
     cx = cy = 0.0
@@ -166,10 +162,6 @@ def _polygon_centroid(poly) -> tuple[float, float]:
         a2 += w
         cx += (x0 + x1) * w
         cy += (y0 + y1) * w
-    if abs(a2) < 1e-12:
-        xs = [p[0] for p in poly]
-        ys = [p[1] for p in poly]
-        return sum(xs) / n, sum(ys) / n
     return cx / (3.0 * a2), cy / (3.0 * a2)
 
 
@@ -189,28 +181,6 @@ class GainRegion:
         if len(self.vertices) == 1:
             return tuple(self.vertices[0])
         return _polygon_centroid(self.vertices)
-
-    def contains(self, k_f: float, b_f: float, tol: float = 1e-12) -> bool:
-        """Point inside the convex polygon (vertices in CCW or CW order)."""
-        n = len(self.vertices)
-        if n == 0:
-            return False
-        if n == 1:
-            v = self.vertices[0]
-            return abs(v[0] - k_f) <= tol and abs(v[1] - b_f) <= tol
-        sign = 0
-        for i in range(n):
-            x0, y0 = self.vertices[i]
-            x1, y1 = self.vertices[(i + 1) % n]
-            cross = (x1 - x0) * (b_f - y0) - (y1 - y0) * (k_f - x0)
-            if abs(cross) <= tol:
-                continue
-            s = 1 if cross > 0 else -1
-            if sign == 0:
-                sign = s
-            elif s != sign:
-                return False
-        return True
 
 
 def _lower(slope: float, icept: float):
@@ -248,20 +218,20 @@ def _best_region(cond_id: str, box: GainBox, candidates) -> GainRegion:
 # explicit-inequality regions
 # ---------------------------------------------------------------------------
 
-def _curve_lower(k: float, k_e: float, b_e: float, m_t: float) -> float:
-    """b_f value of the contact-overdamping bound at k_f = k."""
-    return -b_e * (1.0 + k) + 2.0 * math.sqrt(m_t * k_e * (1.0 + k))
+def _tangents(k_lo: float, k_hi: float, k_e: float, b_e: float, m_t: float):
+    """Half-planes b_f >= tangent at _N_SUPPORT points k_f in [k_lo, k_hi].
 
-
-def _curve_tangent(c: float, k_e: float, b_e: float, m_t: float):
-    """(slope, intercept) of the tangent to the overdamping bound at k_f = c.
-
-    The bound is concave, so its tangents lie above it: requiring b_f above
-    a tangent is an inner (conservative) version of the raw inequality.
+    The contact-overdamping bound b_f = -b_e(1+k_f) + 2 sqrt(m_t k_e (1+k_f))
+    is concave, so its tangents lie above it: requiring b_f above a tangent
+    is an inner (conservative) version of the raw inequality.
     """
-    slope = -b_e + math.sqrt(m_t * k_e) / math.sqrt(1.0 + c)
-    val = _curve_lower(c, k_e, b_e, m_t)
-    return slope, val - slope * c
+    out = []
+    for c in np.linspace(k_lo, k_hi, _N_SUPPORT):
+        c = float(c)
+        slope = -b_e + math.sqrt(m_t * k_e) / math.sqrt(1.0 + c)
+        val = -b_e * (1.0 + c) + 2.0 * math.sqrt(m_t * k_e * (1.0 + c))
+        out.append(_lower(slope, val - slope * c))
+    return out
 
 
 def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
@@ -289,12 +259,10 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
 
     if cond_id == NS3:
         # band between the overdamping curve and the dB >= 0 line
-        cs = np.linspace(box.k_f_min, box.k_f_max, _N_SUPPORT)
-        cands = []
-        for c in cs:
-            slope, icept = _curve_tangent(float(c), k_e, b_e, m_t)
-            cands.append([_lower(slope, icept), _upper(db_slope, db_icept)])
-        return _best_region(cond_id, box, cands)
+        db_upper = _upper(db_slope, db_icept)
+        return _best_region(cond_id, box, [
+            [tan, db_upper]
+            for tan in _tangents(box.k_f_min, box.k_f_max, k_e, b_e, m_t)])
 
     gate = 4.0 * m_t * k_p <= k_d ** 2
     if not gate:
@@ -319,7 +287,8 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
     C_u = (k_d + s) / (2.0 * k_p)
     lo_line = (C_l * k_e - b_e, C_u * k_p + C_l * k_e - b_e)
     hi_line = (C_u * k_e - b_e, C_l * k_p + C_u * k_e - b_e)
-    band = [_lower(db_slope, db_icept), _lower(*lo_line), _upper(*hi_line)]
+    db_lower, hi_upper = _lower(db_slope, db_icept), _upper(*hi_line)
+    band = [db_lower, _lower(*lo_line), hi_upper]
 
     # Window of K2 where the band's lower line over-constrains: there the
     # third raw inequality already holds with the overdamping bound alone.
@@ -336,12 +305,8 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
         # overdamping curve (valid up to the window's right edge, where the
         # band line is exactly the tangent).
         k_hi = box.k_f_max if u_max <= u_hi else (u_hi / k_e - 1.0)
-        cs = np.linspace(box.k_f_min, min(k_hi, box.k_f_max), _N_SUPPORT)
-        for c in cs:
-            slope, icept = _curve_tangent(float(c), k_e, b_e, m_t)
-            cands.append([_lower(db_slope, db_icept),
-                          _lower(slope, icept),
-                          _upper(*hi_line)])
+        cands += [[db_lower, tan, hi_upper] for tan in
+                  _tangents(box.k_f_min, min(k_hi, box.k_f_max), k_e, b_e, m_t)]
     return _best_region(cond_id, box, cands)
 
 

@@ -46,6 +46,14 @@ def test_log_schema_valid_for_scenario_run():
     assert log.data.shape[1] == len(LOG_COLUMNS)
 
 
+def test_infeasible_input_holds_previous_command():
+    # force noise fakes a contact break at which the desired input points
+    # downward (t = 1.02 s): neither extraction can realize it
+    log = run(preset("experiment1-fast", duration=1.5, noise_f_f=0.2, seed=1))
+    validate_log(log)
+    assert log.count_events("extraction_hold") >= 1
+
+
 def test_validate_log_catches_bad_data():
     log = run(tiny_scenario(duration=0.1))
     bad = RunLog(data=log.data.copy())
@@ -168,11 +176,15 @@ def test_unknown_preset_raises():
         preset("experiment9")
 
 
-def test_scenario_validation():
+@pytest.mark.parametrize("bad", [
+    dict(duration=-1.0), dict(approach_speed=0.0),
+    # each of these used to construct and fail only inside run()
+    dict(k_e_min=600.0), dict(k_p=-1.0), dict(b_f_min=50.0), dict(m_t=0.0),
+    dict(k_e=-1.0), dict(tau_att=-1.0), dict(L_f=0.0), dict(omega_n=0.0),
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_scenario_validation(bad):
     with pytest.raises(ValueError):
-        Scenario(duration=-1.0)
-    with pytest.raises(ValueError):
-        Scenario(approach_speed=0.0)
+        Scenario(**bad)
 
 
 def test_scenario_rejects_unknown_profiles():

@@ -9,6 +9,7 @@ from uamsim.scheduler import (NS1, NS2, NS3, DegenerateDirection, GainBox,
                               pattern_search_J, region_explicit, region_grid,
                               schedule, switched_params)
 
+from region_raster import _boundary_mask, _rasterize_polygon
 from switched_oracle import cycle_contraction, sample_params
 
 TABLE1 = dict(k_p=23.5, k_d=19.5)
@@ -91,35 +92,15 @@ def test_ns3_band_empty_for_stiff_wall():
     assert reg.empty
 
 
-def _rasterize(region, box, N):
-    ks = np.linspace(box.k_f_min, box.k_f_max, N + 1)
-    bs = np.linspace(box.b_f_min, box.b_f_max, N + 1)
-    out = np.zeros((N + 1, N + 1), dtype=bool)
-    if region.empty:
-        return out
-    for i, k in enumerate(ks):
-        for j, b in enumerate(bs):
-            out[i, j] = region.contains(float(k), float(b))
-    return out
-
-
-def _boundary_mask(bm):
-    pad = np.pad(bm, 1, mode="edge")
-    m = np.zeros_like(bm)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            m |= pad[1 + di:pad.shape[0] - 1 + di,
-                     1 + dj:pad.shape[1] - 1 + dj] != bm
-    return m
-
-
 def test_ns1_softest_environment_matches_grid_oracle():
     # softest admissible environment; the overdamping gate holds at m_t = 4
     assert 4.0 * 4.0 * 23.5 <= 19.5 ** 2
     N = 60
     grid = region_grid(NS1, 23.5, 19.5, 50.0, 1.0, 4.0, BOX, N)
     reg = region_explicit(NS1, 23.5, 19.5, 50.0, 1.0, 4.0, BOX)
-    poly = _rasterize(reg, BOX, N)
+    ks = np.linspace(BOX.k_f_min, BOX.k_f_max, N + 1)
+    bs = np.linspace(BOX.b_f_min, BOX.b_f_max, N + 1)
+    poly = _rasterize_polygon(reg, ks, bs)
     assert not (poly & ~grid).any()                     # inner
     bnd = _boundary_mask(grid) | _boundary_mask(poly)
     assert ((poly == grid) | bnd).all()                 # interior agreement
@@ -151,6 +132,8 @@ def test_region_grid_shape_and_counts():
 def test_region_explicit_inner_and_interior_agreement_sampled():
     rng = np.random.default_rng(11)
     N = 40
+    ks = np.linspace(BOX.k_f_min, BOX.k_f_max, N + 1)
+    bs = np.linspace(BOX.b_f_min, BOX.b_f_max, N + 1)
     for _ in range(10):
         k_e = rng.uniform(50.0, 500.0)
         b_e = rng.uniform(0.1, 1.0)
@@ -158,7 +141,7 @@ def test_region_explicit_inner_and_interior_agreement_sampled():
         for cond in (NS1, NS2, NS3):
             grid = region_grid(cond, 23.5, 19.5, k_e, b_e, m_t, BOX, N)
             reg = region_explicit(cond, 23.5, 19.5, k_e, b_e, m_t, BOX)
-            poly = _rasterize(reg, BOX, N)
+            poly = _rasterize_polygon(reg, ks, bs)
             assert not (poly & ~grid).any()
             bnd = _boundary_mask(grid) | _boundary_mask(poly)
             assert ((poly == grid) | bnd).all()
