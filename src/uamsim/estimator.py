@@ -72,22 +72,25 @@ def rlse_update(est: EnvEstimate, x_f: float, x_dot_f: float, f_f: float,
         raise ValueError("non-finite estimator inputs")
 
     Y = np.array([-(x_f - x_fs), -x_dot_f])           # 1x2 regressor
-    theta = np.array([est.k_hat, est.b_hat])
-    P = est.P
 
-    PY = P @ Y
-    eps = f_f - float(Y @ theta)
-    theta = theta + dt * PY * eps
+    # BLAS rounds the two products; the elementwise rest is scalar
+    py0, py1 = (est.P @ Y).tolist()
+    eps = f_f - float(Y @ np.array([est.k_hat, est.b_hat]))
 
-    P_dot = cfg.mu1 * P - cfg.mu2 * np.outer(PY, PY)
-    P_new = P + dt * P_dot
-    P_new = 0.5 * (P_new + P_new.T)
+    # P + dt (mu1 P - mu2 PY PY^T), then symmetrized as 0.5 (P + P^T)
+    (p00, p01), (p10, p11) = est.P.tolist()
+    n00 = p00 + dt * (cfg.mu1 * p00 - cfg.mu2 * (py0 * py0))
+    n01 = p01 + dt * (cfg.mu1 * p01 - cfg.mu2 * (py0 * py1))
+    n10 = p10 + dt * (cfg.mu1 * p10 - cfg.mu2 * (py1 * py0))
+    n11 = p11 + dt * (cfg.mu1 * p11 - cfg.mu2 * (py1 * py1))
+    off = 0.5 * (n01 + n10)
+    P_new = np.array([[0.5 * (n00 + n00), off], [off, 0.5 * (n11 + n11)]])
     if _lambda_max_2x2(P_new) > cfg.rho_M:
-        P_new = P                                      # freeze
+        P_new = est.P                                  # freeze
 
     return EnvEstimate(
-        k_hat=min(max(theta[0], cfg.k_min), cfg.k_max),
-        b_hat=min(max(theta[1], cfg.b_min), cfg.b_max),
+        k_hat=min(max(est.k_hat + dt * py0 * eps, cfg.k_min), cfg.k_max),
+        b_hat=min(max(est.b_hat + dt * py1 * eps, cfg.b_min), cfg.b_max),
         P=P_new,
     )
 

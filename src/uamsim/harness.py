@@ -332,7 +332,7 @@ def run(scenario: Scenario) -> RunLog:
     rows = []
     events = []
     T_cmd = pcfg.m_t * pcfg.g
-    phi_r = np.array([0.0, 0.0, scenario.yaw_ref])
+    phi_r = (0.0, 0.0, scenario.yaw_ref)
     x_fs_hat = surface.x_fs        # latched on contact detection
     x_f_recent = deque(maxlen=scenario.contact_debounce)  # x_f for the latch
     t_contact0 = None              # first detected contact (force phase origin)
@@ -345,7 +345,7 @@ def run(scenario: Scenario) -> RunLog:
         t = i * dt
 
         if i % ctl_every == 0:
-            if not (np.all(np.isfinite(st.p_e)) and np.all(np.isfinite(st.v_e))):
+            if not all(map(math.isfinite, st.p_e.tolist() + st.v_e.tolist())):
                 raise RuntimeError(f"non-finite plant state at t={t:.3f}")
 
             meas = plantmod.measure(st, surface, pcfg, rng)
@@ -420,7 +420,7 @@ def run(scenario: Scenario) -> RunLog:
                     saturated = True
             else:
                 saturated = False
-            phi_r = np.array([phi_xr, phi_yr, scenario.yaw_ref])
+            phi_r = (phi_xr, phi_yr, scenario.yaw_ref)
 
             rows.append((
                 t, st.p_e[0], st.p_e[1], st.p_e[2], meas.x_f, meas.f_f,

@@ -102,10 +102,11 @@ class DisturbanceConfig:
     def __post_init__(self):
         for name in ("const", "amp", "freq_hz"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(3))
+        if not (np.all(np.isfinite([self.const, self.amp, self.freq_hz]))
+                and 0.0 <= self.tangential_friction < math.inf):
+            raise ValueError("disturbance must be finite, friction nonnegative")
 
     def force(self, t: float) -> np.ndarray:
-        if not self.amp.any():
-            return self.const
         return self.const + self.amp * np.sin(2.0 * math.pi * self.freq_hz * t)
 
 
@@ -116,6 +117,10 @@ class MeasurementNoise:
     pos: float = 0.0
     vel: float = 0.0
     f_f: float = 0.0
+
+    def __post_init__(self):
+        if not all(0.0 <= v < math.inf for v in (self.pos, self.vel, self.f_f)):
+            raise ValueError("noise std-devs must be finite and nonnegative")
 
     def any(self) -> bool:
         return any(v > 0.0 for v in (self.pos, self.vel, self.f_f))
@@ -222,19 +227,21 @@ def rk4(f, t: float, y: list, h: float) -> list:
 
 def _dynamics(T: float, phi_r, surface: SurfaceModel, cfg: PlantConfig):
     """The plant's y' = f(t, y), y = p_e + v_e + phi, under fixed commands."""
-    m, g, tau = cfg.m_t, cfg.g, cfg.tau_att
+    m, mg, tau = cfg.m_t, cfg.m_t * cfg.g, cfg.tau_att
     k_e, b_e, x_fs = surface.k_e, surface.b_e, surface.x_fs
     bx, by, bz = surface.B_f.tolist()
     dist = cfg.disturbance
     fric = dist.tangential_friction
+    const = None if any(dist.amp.tolist()) else dist.const.tolist()
+    rx_r, ry_r, rz_r = phi_r
 
     def f(t, y):
-        px, py, pz, vx, vy, vz = y[:6]
-        tx, ty, tz = thrust_direction(y[6:9])
-        dx, dy, dz = dist.force(t).tolist()
+        px, py, pz, vx, vy, vz, rx, ry, rz = y
+        dx, dy, dz = dist.force(t).tolist() if const is None else const
+        tx, ty, tz = thrust_direction((rx, ry, rz))
         fx = T * tx + dx
         fy = T * ty + dy
-        fz = T * tz + dz - m * g
+        fz = T * tz + dz - mg
 
         pen = bx * px + by * py + bz * pz - x_fs
         if pen > 0.0:
@@ -249,9 +256,10 @@ def _dynamics(T: float, phi_r, surface: SurfaceModel, cfg: PlantConfig):
                 fy -= fric * (vy - x_dot_f * by)
                 fz -= fric * (vz - x_dot_f * bz)
 
-        dphi = ([(a - b) / tau for a, b in zip(phi_r, y[6:9])] if tau > 0.0
-                else [0.0, 0.0, 0.0])
-        return [vx, vy, vz, fx / m, fy / m, fz / m] + dphi
+        if tau > 0.0:
+            return [vx, vy, vz, fx / m, fy / m, fz / m,
+                    (rx_r - rx) / tau, (ry_r - ry) / tau, (rz_r - rz) / tau]
+        return [vx, vy, vz, fx / m, fy / m, fz / m, 0.0, 0.0, 0.0]
 
     return f
 
@@ -295,9 +303,9 @@ def _step_with_events(f, pen, y, t, h, depth=0):
 def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
          cfg: PlantConfig) -> PlantState:
     """Integrate the plant one dt under constant thrust/attitude commands."""
-    phi_r = np.asarray(phi_r, dtype=float).reshape(3)
-    if not (math.isfinite(T) and np.all(np.isfinite(phi_r))):
-        raise ValueError("non-finite plant inputs")
+    phi_r = [float(v) for v in phi_r]
+    if len(phi_r) != 3 or not all(map(math.isfinite, [T, *phi_r])):
+        raise ValueError("plant inputs must be finite, with three angles")
     if T < 0.0:
         raise ValueError("thrust must be nonnegative")
 
@@ -307,7 +315,6 @@ def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
     def pen(y):
         return bx * y[0] + by * y[1] + bz * y[2] - x_fs
 
-    phi_r = phi_r.tolist()
     phi = phi_r if cfg.tau_att == 0.0 else state.phi.tolist()
     y = state.p_e.tolist() + state.v_e.tolist() + phi
     y1 = _step_with_events(_dynamics(T, phi_r, surface, cfg), pen, y,
@@ -315,7 +322,8 @@ def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
     if cfg.tau_att == 0.0:
         y1[6:9] = phi_r
 
-    return PlantState(p_e=y1[0:3], v_e=y1[3:6], phi=y1[6:9],
+    a = np.array(y1)
+    return PlantState(p_e=a[0:3], v_e=a[3:6], phi=a[6:9],
                       in_contact=pen(y1) > 0.0, t=state.t + cfg.dt)
 
 

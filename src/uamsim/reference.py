@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimator import EnvEstimate
-from .plant import rk4
 
 FREE = "free"
 CONTACT = "contact"
@@ -51,18 +50,24 @@ class ReferenceState:
 def _track(x, v, target, wn: float, dt: float):
     """One RK4 step of x'' = -2 wn x' - wn^2 (x - target) for each coordinate.
 
-    Returns the lists of positions, velocities and accelerations after the step.
+    This is plant.rk4 unrolled per coordinate, with its operation order.
+    Returns the positions, velocities and accelerations after the step.
     """
-    n = len(x)
-
-    def f(t, y):
-        return y[n:] + [-2.0 * wn * vv - wn * wn * (xx - c)
-                        for xx, vv, c in zip(y, y[n:], target)]
-
-    y = rk4(f, 0.0, x + v, dt)
-    x, v = y[:n], y[n:]
-    a = [-2.0 * wn * vv - wn ** 2 * (xx - c) for xx, vv, c in zip(x, v, target)]
-    return x, v, a
+    h2, h6 = 0.5 * dt, dt / 6.0
+    c1, w2 = -2.0 * wn, wn * wn
+    out = []
+    for x1, v1, c in zip(x, v, target):
+        a1 = c1 * v1 - w2 * (x1 - c)
+        x2, v2 = x1 + h2 * v1, v1 + h2 * a1
+        a2 = c1 * v2 - w2 * (x2 - c)
+        x3, v3 = x1 + h2 * v2, v1 + h2 * a2
+        a3 = c1 * v3 - w2 * (x3 - c)
+        x4, v4 = x1 + dt * v3, v1 + dt * a3
+        a4 = c1 * v4 - w2 * (x4 - c)
+        xn = x1 + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        vn = v1 + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        out.append((xn, vn, -2.0 * wn * vn - wn ** 2 * (xn - c)))
+    return zip(*out)
 
 
 def free_step(ref: ReferenceState, x_fd: float, x_md, omega_n: float,
@@ -101,16 +106,24 @@ def contact_step(ref: ReferenceState, f_fd: float, x_md, est: EnvEstimate,
 
     n_sub = max(1, math.ceil(kb * dt / 0.5))
     h = dt / n_sub
+    h2, h6 = 0.5 * h, h / 6.0
+    c1, w2, nkb = -2.0 * omega_n, omega_n ** 2, -kb
 
-    def deriv(t, y):
-        ff, ffd, xx, vv = y
-        fdd = -2.0 * omega_n * ffd - omega_n ** 2 * (ff - f_fd)
-        return [ffd, fdd, vv, -kb * vv - inv_b * ffd]
-
-    y = [ref.f_fr, ref.f_fr_dot, ref.x_fr, ref.x_fr_dot]
+    # plant.rk4 on y = [f, f', x, x'] unrolled, with its operation order; x
+    # does not enter the derivative, so its stages are never formed
+    f, fd, x, v = ref.f_fr, ref.f_fr_dot, ref.x_fr, ref.x_fr_dot
     for _ in range(n_sub):
-        y = rk4(deriv, 0.0, y, h)
-    f, fd, x, v = y
+        a1, b1 = c1 * fd - w2 * (f - f_fd), nkb * v - inv_b * fd
+        f2, fd2, v2 = f + h2 * fd, fd + h2 * a1, v + h2 * b1
+        a2, b2 = c1 * fd2 - w2 * (f2 - f_fd), nkb * v2 - inv_b * fd2
+        f3, fd3, v3 = f + h2 * fd2, fd + h2 * a2, v + h2 * b2
+        a3, b3 = c1 * fd3 - w2 * (f3 - f_fd), nkb * v3 - inv_b * fd3
+        f4, fd4, v4 = f + h * fd3, fd + h * a3, v + h * b3
+        a4, b4 = c1 * fd4 - w2 * (f4 - f_fd), nkb * v4 - inv_b * fd4
+        f, fd, x, v = (f + h6 * (fd + 2.0 * fd2 + 2.0 * fd3 + fd4),
+                       fd + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                       x + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4),
+                       v + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
     x_md = np.asarray(x_md, dtype=float).reshape(2).tolist()
     xm, vm, am = _track(ref.x_mr.tolist(), ref.x_mr_dot.tolist(), x_md,

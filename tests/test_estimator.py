@@ -5,6 +5,9 @@ import pytest
 
 from uamsim.estimator import (ContactDetector, EnvEstimate, RlseConfig,
                               rlse_update, _lambda_max_2x2)
+from uamsim.scheduler import (PATTERN_SEARCH, GainBox, lambda_pair, schedule,
+                              switched_params)
+from switched_oracle import cycle_contraction
 
 
 def make_cfg(**kw):
@@ -80,6 +83,70 @@ def test_zero_regressor_keeps_theta():
         est = rlse_update(est, 0.0, 0.0, 0.0, 0.0, cfg, 2e-3)
     assert est.k_hat == pytest.approx(123.0)
     assert est.b_hat == pytest.approx(0.7)
+
+
+def test_update_equals_matrix_form_bit_for_bit():
+    # the scalar update must reproduce the RLSE step written with numpy
+    # arrays, including the freeze, the clamping and the symmetrization of
+    # a slightly asymmetric P
+    cfg = make_cfg(rho_M=300.0)
+    rng = np.random.default_rng(8)
+    frozen = 0
+    for _ in range(500):
+        A = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-2.0, 2.0)
+        P = A @ A.T + np.array([[0.0, 1e-3], [0.0, 0.0]]) * rng.normal()
+        est = EnvEstimate(k_hat=rng.uniform(50.0, 500.0),
+                          b_hat=rng.uniform(0.1, 1.0), P=P)
+        x_f, x_dot_f, x_fs = rng.normal(size=3) * 0.05
+        f_f, dt = rng.normal() * 5.0, rng.uniform(1e-4, 1e-2)
+        out = rlse_update(est, x_f, x_dot_f, f_f, x_fs, cfg, dt)
+
+        Y = np.array([-(x_f - x_fs), -x_dot_f])
+        theta = np.array([est.k_hat, est.b_hat])
+        PY = P @ Y
+        theta = theta + dt * PY * (f_f - float(Y @ theta))
+        P_new = P + dt * (cfg.mu1 * P - cfg.mu2 * np.outer(PY, PY))
+        P_new = 0.5 * (P_new + P_new.T)
+        if _lambda_max_2x2(P_new) > cfg.rho_M:
+            P_new = P
+            frozen += 1
+        assert out.k_hat == min(max(theta[0], cfg.k_min), cfg.k_max)
+        assert out.b_hat == min(max(theta[1], cfg.b_min), cfg.b_max)
+        assert np.array_equal(out.P, P_new)
+    assert 0 < frozen < 500
+
+
+def test_estimate_reaches_scheduler_log_path_near_critical_damping():
+    # the update returns Python floats. At this estimate the contact mode of
+    # the corner seed (k_f 0.1, b_f 40) is near critical damping, where the
+    # power form of its contraction factor raises OverflowError and the
+    # scheduler takes the log form (numpy float64 scalars would give inf)
+    k_e, b_e, m_t = 74.84128427624456, 0.42624656341812006, 4.973329405993329
+    cfg = make_cfg()
+    est = EnvEstimate(k_hat=k_e, b_hat=b_e, P=cfg.P0 * np.eye(2))
+    out = rlse_update(est, 0.01, 0.0, 0.0, 0.01, cfg, 0.002)   # Y = 0
+    assert type(out.k_hat) is float and type(out.b_hat) is float
+    assert (out.k_hat, out.b_hat) == (k_e, b_e)
+
+    sp = switched_params(23.5, 19.5, 0.1, 40.0, out.k_hat, out.b_hat, m_t)
+    K, B = sp.K2, sp.B2
+    dK, dB = sp.K1 - sp.K2, sp.B1 - sp.B2
+    L = math.hypot(dK, dB)
+    r = math.sqrt(B * B - 4.0 * K)
+    la, lb = 0.5 * (-B - r), 0.5 * (-B + r)
+    x_b = abs((dK * lb + K * dB) / (K * L))
+    x_a = abs((dK * la + K * dB) / (K * L))
+    with pytest.raises(OverflowError):
+        x_b ** (la / (lb - la))
+    log_form = math.exp((la * math.log(x_b) - lb * math.log(x_a)) / (lb - la))
+    _, l2, prod = lambda_pair(sp)
+    assert l2 == log_form
+    assert prod == pytest.approx(cycle_contraction(sp.K1, sp.B1, sp.K2, sp.B2),
+                                 rel=1e-9)
+
+    res = schedule(23.5, 19.5, out.k_hat, out.b_hat, m_t, GainBox())
+    assert res == schedule(23.5, 19.5, k_e, b_e, m_t, GainBox())
+    assert res.provenance == PATTERN_SEARCH and math.isfinite(res.J)
 
 
 def test_rejects_nonfinite():

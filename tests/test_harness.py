@@ -181,6 +181,8 @@ def test_unknown_preset_raises():
     # each of these used to construct and fail only inside run()
     dict(k_e_min=600.0), dict(k_p=-1.0), dict(b_f_min=50.0), dict(m_t=0.0),
     dict(k_e=-1.0), dict(tau_att=-1.0), dict(L_f=0.0), dict(omega_n=0.0),
+    dict(noise_f_f=-0.1), dict(friction=-1.0),
+    dict(dist_amp=(math.nan, 0.0, 0.0)), dict(noise_pos=math.inf),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_scenario_validation(bad):
     with pytest.raises(ValueError):

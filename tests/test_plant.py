@@ -136,25 +136,49 @@ def test_step_rejects_nonfinite():
         step(st, math.nan, np.zeros(3), s, cfg)
     with pytest.raises(ValueError):
         step(st, 10.0, [math.inf, 0.0, 0.0], s, cfg)
+    with pytest.raises(ValueError):
+        step(st, 10.0, [0.0, 0.0], s, cfg)
 
 
 def test_step_acceleration_identity_at_evaluation_point():
-    # with tau_att = 0 and no disturbance the evaluated acceleration equals
-    # -g e3 + (T R e3 + f_e)/m_t exactly
+    # the evaluated derivative equals the closed form
+    # a = -g e3 + (T R(phi) e3 + f_e + delta(t) - c_t B_m B_m^T v_e)/m_t,
+    # phi' = (phi_r - phi)/tau_att, with friction only while penetrated
     from uamsim.plant import _dynamics
 
-    cfg = PlantConfig(m_t=4.2)
     s = vertical_surface()
+    sine = DisturbanceConfig(const=[0.3, -0.2, 0.1], amp=[0.5, 1.0, 0.0],
+                             freq_hz=[2.0, 2.0, 0.0])
+    fric = DisturbanceConfig(const=[0.1, 0.0, -0.4], tangential_friction=0.7)
+    free, pressed = [0.95, 0.0, 1.5], [1.01, 0.0, 1.5]
+    cases = [  # (disturbance, tau_att, p_e, v_e, t)
+        (DisturbanceConfig(), 0.0, free, [0.2, 0.0, 0.0], 0.0),
+        (sine, 0.0, free, [0.2, 0.1, 0.0], 0.0),
+        (sine, 0.0, free, [0.2, 0.1, 0.0], 1.0 / 8.0),
+        (fric, 0.0, pressed, [0.2, 0.3, -0.1], 0.0),
+        (fric, 0.05, pressed, [0.2, 0.3, -0.1], 0.0),
+    ]
     phi_r = np.array([0.05, -0.03, 0.2])
-    st = PlantState(p_e=[0.95, 0.0, 1.5], v_e=[0.2, 0.0, 0.0], phi=phi_r)
     T = 45.0
-    y = np.concatenate([st.p_e, st.v_e, st.phi])
-    d = np.array(_dynamics(T, phi_r, s, cfg)(0.0, y.tolist()))
-    f_c = contact_force(float(s.B_f @ st.p_e), float(s.B_f @ st.v_e), s)
-    a_exp = (-cfg.g * np.array([0, 0, 1.0])
-             + (T * np.array(thrust_direction(phi_r)) + f_c * s.B_f) / cfg.m_t)
-    assert np.allclose(d[0:3], st.v_e, atol=0.0)
-    assert np.allclose(d[3:6], a_exp, atol=1e-14)
+    for dist, tau, p_e, v_e, t in cases:
+        cfg = PlantConfig(m_t=4.2, tau_att=tau, disturbance=dist)
+        phi = phi_r if tau == 0.0 else np.array([0.01, 0.02, 0.1])
+        st = PlantState(p_e=p_e, v_e=v_e, phi=phi)
+        y = np.concatenate([st.p_e, st.v_e, st.phi])
+        d = np.array(_dynamics(T, phi_r.tolist(), s, cfg)(t, y.tolist()))
+        x_dot_f = float(s.B_f @ st.v_e)
+        f_c = contact_force(float(s.B_f @ st.p_e), x_dot_f, s)
+        delta = dist.const + dist.amp * np.sin(2.0 * math.pi * dist.freq_hz * t)
+        if f_c != 0.0:
+            delta = delta - dist.tangential_friction * (st.v_e - x_dot_f * s.B_f)
+        a_exp = (-cfg.g * np.array([0, 0, 1.0])
+                 + (T * np.array(thrust_direction(st.phi)) + f_c * s.B_f
+                    + delta) / cfg.m_t)
+        assert (f_c != 0.0) == (p_e is pressed)
+        assert np.allclose(d[0:3], st.v_e, atol=0.0)
+        assert np.allclose(d[3:6], a_exp, rtol=0.0, atol=1e-14)
+        dphi = (phi_r - st.phi) / tau if tau > 0.0 else np.zeros(3)
+        assert np.allclose(d[6:9], dphi, rtol=0.0, atol=1e-14)
 
 
 def test_rk4_exponential_decay_matches_taylor_polynomial():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uamsim.estimator import EnvEstimate
+from uamsim.plant import rk4
 from uamsim.reference import (CONTACT, FREE, ReferenceState, contact_step,
                               free_step, switch_mode)
 
@@ -105,6 +106,76 @@ def test_contact_step_rejects_nonpositive_damping_estimate():
         est = EnvEstimate(k_hat=200.0, b_hat=b_hat, P=np.eye(2))
         with pytest.raises(ValueError):
             contact_step(ref, -6.0, [0.0, 0.0], est, WN, DT)
+
+
+def generic_track(x, v, target, wn, dt):
+    # one plant.rk4 step of x'' = -2 wn x' - wn^2 (x - target), all axes at once
+    n = len(x)
+
+    def f(t, y):
+        return y[n:] + [-2.0 * wn * vv - wn * wn * (xx - c)
+                        for xx, vv, c in zip(y, y[n:], target)]
+
+    y = rk4(f, 0.0, list(x) + list(v), dt)
+    acc = [-2.0 * wn * vv - wn ** 2 * (xx - c)
+           for xx, vv, c in zip(y[:n], y[n:], target)]
+    return y[:n], y[n:], acc
+
+
+def draw(rng, shape):
+    # magnitudes from 1e-6 to 10, so that rounding in any stage sum shows
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-6.0, 1.0, size=shape)
+
+
+def test_free_step_equals_generic_rk4_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        x, v, target = draw(rng, (3, 3)).tolist()
+        wn = rng.uniform(1.0, 30.0)
+        ref = ReferenceState(x_fr=x[0], x_fr_dot=v[0], x_mr=x[1:], x_mr_dot=v[1:])
+        out = free_step(ref, target[0], target[1:], wn, DT)
+        xs, vs, acc = generic_track(x, v, target, wn, DT)
+        assert [out.x_fr, *out.x_mr.tolist()] == xs
+        assert [out.x_fr_dot, *out.x_mr_dot.tolist()] == vs
+        assert [out.x_fr_ddot, *out.x_mr_ddot.tolist()] == acc
+
+
+def test_contact_step_equals_generic_rk4_bit_for_bit():
+    # the unrolled substeps must reproduce n_sub plant.rk4 steps of
+    # y' = [f', -2 wn f' - wn^2 (f - f_fd), x', -(k/b) x' - f'/b] exactly
+    rng = np.random.default_rng(6)
+    seen = set()
+    for n_sub in range(1, 11):
+        for _ in range(20):
+            b_hat = rng.uniform(0.1, 1.0)
+            # k_hat/b_hat inside (n_sub - 1, n_sub] * 0.5/DT gives n_sub substeps
+            k_hat = b_hat * (n_sub - rng.uniform(0.0, 0.99)) * 0.5 / DT
+            wn, f_fd = rng.uniform(1.0, 30.0), rng.uniform(-10.0, 0.0)
+            f, fd, x, v = draw(rng, 4).tolist()
+            xm, vm, x_md = draw(rng, (3, 2)).tolist()
+            ref = ReferenceState(x_fr=x, x_fr_dot=v, f_fr=f, f_fr_dot=fd,
+                                 x_mr=xm, x_mr_dot=vm, mode=CONTACT)
+            out = contact_step(ref, f_fd, x_md,
+                               EnvEstimate(k_hat=k_hat, b_hat=b_hat, P=np.eye(2)),
+                               wn, DT)
+
+            kb, inv_b = k_hat / b_hat, 1.0 / b_hat
+            m = max(1, math.ceil(kb * DT / 0.5))
+            seen.add(m)
+
+            def deriv(t, y):
+                ff, ffd, xx, vv = y
+                fdd = -2.0 * wn * ffd - wn ** 2 * (ff - f_fd)
+                return [ffd, fdd, vv, -kb * vv - inv_b * ffd]
+
+            y = [f, fd, x, v]
+            for _ in range(m):
+                y = rk4(deriv, 0.0, y, DT / m)
+            assert [out.f_fr, out.f_fr_dot, out.x_fr, out.x_fr_dot] == y
+            assert out.x_fr_ddot == -kb * y[3] - inv_b * y[1]
+            assert [out.x_mr.tolist(), out.x_mr_dot.tolist(),
+                    out.x_mr_ddot.tolist()] == list(generic_track(xm, vm, x_md, wn, DT))
+    assert seen == set(range(1, 11))
 
 
 def test_switch_modes_continuous_and_round_trip():

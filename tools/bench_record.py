@@ -1,0 +1,89 @@
+"""Write a benchmark record, BENCH_<tag>.json, at the repository root.
+
+    python3 tools/bench_record.py <tag>
+
+Runs the benchmark (perfbench/run.py, unchanged) on every workload that
+BENCHMARK.json declares, once with --trace 0 for the end-to-end metrics and
+once with --trace 1 for the per-layer metrics, for BENCHMARK.json's
+run_seconds each. Every run uses seed 901, so that records compare with each
+other. The record also holds the machine (platform, Python version, CPU
+count), `git describe` and the behaviour fingerprint printed by
+tools/log_hashes.py. Every run must report "correct": true.
+"""
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 901
+
+
+def bench(workload: str, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
+                          check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        sys.exit(f"{' '.join(cmd)}: outputs failed their checks\n{proc.stderr}")
+    return result
+
+
+def git_describe() -> str:
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def log_hashes() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "tools/log_hashes.py"], cwd=ROOT,
+                          env=env, capture_output=True, text=True, check=True)
+    return dict(line.rsplit(" ", 1) for line in proc.stdout.splitlines())
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("tag", help="names the output file, BENCH_<tag>.json")
+    args = p.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    workloads = {}
+    for w in spec["workloads"]:
+        name = w["name"]
+        runs = {trace: bench(name, seconds, trace) for trace in (0, 1)}
+        workloads[name] = {
+            "attempted": runs[0]["attempted"], "failed": runs[0]["failed"],
+            "end_to_end": runs[0]["metrics"], "per_layer": runs[1]["metrics"],
+        }
+        print(f"{name}: " + ", ".join(f"{k} {v['value']:.4g}"
+                                      for k, v in runs[0]["metrics"].items()),
+              flush=True)
+
+    record = {
+        "tag": args.tag,
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED} "
+                   f"--seconds {seconds} --trace {{0,1}}",
+        "seed": SEED,
+        "seconds": seconds,
+        "git_describe": git_describe(),
+        "machine": {"platform": platform.platform(),
+                    "python": platform.python_version(),
+                    "cpu_count": os.cpu_count()},
+        "log_hashes": log_hashes(),
+        "workloads": workloads,
+    }
+    out = ROOT / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
