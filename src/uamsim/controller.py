@@ -15,7 +15,7 @@ which has the commanded u_e as its fixed point when the attitude settles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,18 +49,17 @@ class GainSet:
 @dataclass
 class DOBState:
     z_f: float = 0.0
-    z_m: np.ndarray = field(default_factory=lambda: np.zeros(2))
-
-    def __post_init__(self):
-        self.z_m = np.asarray(self.z_m, dtype=float).reshape(2)
+    z_m: tuple[float, float] = (0.0, 0.0)
 
 
 def dob_estimates(dob: DOBState, meas: Measurement,
-                  gains: GainSet) -> tuple[float, np.ndarray]:
+                  gains: GainSet) -> tuple[float, tuple[float, float]]:
     """Current disturbance estimates Delta_hat = z + nu (no state change)."""
-    nu_f = gains.m_bar * gains.L_f * meas.x_dot_f
-    nu_m = gains.m_bar * (gains.L_m * meas.x_dot_m)
-    return dob.z_f + nu_f, dob.z_m + nu_m
+    m_bar, L_m = gains.m_bar, gains.L_m
+    z0, z1 = dob.z_m
+    v0, v1 = meas.x_dot_m.tolist()
+    return (dob.z_f + m_bar * gains.L_f * meas.x_dot_f,
+            (z0 + m_bar * (L_m * v0), z1 + m_bar * (L_m * v1)))
 
 
 def dob_update(dob: DOBState, meas: Measurement, u_bar_f: float, u_bar_m,
@@ -76,22 +75,24 @@ def dob_update(dob: DOBState, meas: Measurement, u_bar_f: float, u_bar_m,
     are discretized exactly under a zero-order hold of the inputs; the
     measured force enters only while contact is detected.
     """
-    u_bar_m = np.asarray(u_bar_m, dtype=float).reshape(2)
-    g_f = gains.m_bar * gains.g_bar * float(surface.B_f[2])
-    g_m = gains.m_bar * gains.g_bar * surface.B_m[2]
+    m_bar, L_m = gains.m_bar, gains.L_m
+    mg = m_bar * gains.g_bar
     f_f = meas.f_f if in_contact else 0.0
 
-    nu_f = gains.m_bar * gains.L_f * meas.x_dot_f
-    s_f = g_f - f_f - u_bar_f - nu_f
+    nu_f = m_bar * gains.L_f * meas.x_dot_f
+    s_f = mg * float(surface.B_f[2]) - f_f - u_bar_f - nu_f
     a = math.exp(-gains.L_f * dt)
     z_f = a * dob.z_f + (1.0 - a) * s_f
 
-    nu_m = gains.m_bar * (gains.L_m * meas.x_dot_m)
-    s_m = g_m - u_bar_m - nu_m
-    b = math.exp(-gains.L_m * dt)
-    z_m = b * dob.z_m + (1.0 - b) * s_m
-
-    return DOBState(z_f=z_f, z_m=z_m)
+    g0, g1 = surface.B_m[2].tolist()
+    u0, u1 = u_bar_m
+    v0, v1 = meas.x_dot_m.tolist()
+    z0, z1 = dob.z_m
+    s0 = mg * g0 - u0 - m_bar * (L_m * v0)
+    s1 = mg * g1 - u1 - m_bar * (L_m * v1)
+    b = math.exp(-L_m * dt)
+    c = 1.0 - b
+    return DOBState(z_f=z_f, z_m=(b * z0 + c * s0, b * z1 + c * s1))
 
 
 def control_force(ref: ReferenceState, meas: Measurement, delta_f_hat: float,
@@ -109,19 +110,23 @@ def control_force(ref: ReferenceState, meas: Measurement, delta_f_hat: float,
 
 
 def control_motion(ref: ReferenceState, meas: Measurement, delta_m_hat,
-                   gains: GainSet, surface: SurfaceModel) -> np.ndarray:
+                   gains: GainSet, surface: SurfaceModel) -> tuple[float, float]:
     """Desired motion-plane input, N (2-vector)."""
-    delta_m_hat = np.asarray(delta_m_hat, dtype=float).reshape(2)
-    e_xm = ref.x_mr - meas.x_m
-    e_xm_dot = ref.x_mr_dot - meas.x_dot_m
-    g_term = gains.m_bar * gains.g_bar * surface.B_m[2]
-    return (gains.m_bar * ref.x_mr_ddot + gains.K_md * e_xm_dot
-            + gains.K_mp * e_xm + g_term - delta_m_hat)
+    m_bar, K_mp, K_md = gains.m_bar, gains.K_mp, gains.K_md
+    mg = m_bar * gains.g_bar
+    g0, g1 = surface.B_m[2].tolist()
+    r0, r1 = ref.x_mr.tolist()
+    rd0, rd1 = ref.x_mr_dot.tolist()
+    rdd0, rdd1 = ref.x_mr_ddot.tolist()
+    x0, x1 = meas.x_m.tolist()
+    xd0, xd1 = meas.x_dot_m.tolist()
+    d0, d1 = delta_m_hat
+    return (m_bar * rdd0 + K_md * (rd0 - xd0) + K_mp * (r0 - x0) + mg * g0 - d0,
+            m_bar * rdd1 + K_md * (rd1 - xd1) + K_mp * (r1 - x1) + mg * g1 - d1)
 
 
 def compose_u(u_bar_f: float, u_bar_m, surface: SurfaceModel) -> np.ndarray:
     """Recombine force/motion inputs into the inertial desired input."""
-    u_bar_m = np.asarray(u_bar_m, dtype=float).reshape(2)
     return u_bar_f * surface.B_f + surface.B_m @ u_bar_m
 
 
@@ -137,19 +142,18 @@ def extract_inputs(u_bar_e, phi) -> tuple[float, float, float]:
     singularity, the vertical component is not positive, or an asin argument
     leaves [-1, 1].
     """
-    u = np.asarray(u_bar_e, dtype=float).reshape(3)
     phi_x, phi_y, phi_z = float(phi[0]), float(phi[1]), float(phi[2])
     if abs(phi_x) >= 0.5 * math.pi or abs(phi_y) >= 0.5 * math.pi:
         raise InfeasibleInput("roll/pitch at extraction singularity")
-    a = _psi(phi_z) @ u
-    if a[2] <= 0.0:
+    a_x, a_y, a_z = (_psi(phi_z) @ u_bar_e).tolist()
+    if a_z <= 0.0:
         raise InfeasibleInput("desired input has no upward component")
-    T = a[2] / (math.cos(phi_x) * math.cos(phi_y))
-    s_x = a[1] / T
+    T = a_z / (math.cos(phi_x) * math.cos(phi_y))
+    s_x = a_y / T
     if abs(s_x) > 1.0:
         raise InfeasibleInput("roll extraction out of range")
     phi_x_r = math.asin(s_x)
-    s_y = a[0] / (T * math.cos(phi_x))
+    s_y = a_x / (T * math.cos(phi_x))
     if abs(s_y) > 1.0:
         raise InfeasibleInput("pitch extraction out of range")
     phi_y_r = math.asin(s_y)

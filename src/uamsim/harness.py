@@ -129,10 +129,17 @@ class Scenario:
                              "of plant steps")
         if self.contact_debounce < 1:
             raise ValueError("contact_debounce must be at least 1")
-        if self.omega_n <= 0.0:
-            raise ValueError("omega_n must be positive")
+        for name in ("omega_n", "force_period", "thrust_ceiling_factor"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("contact_threshold", "slew_rate", "sched_period"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative")
         for name in ("p_s", "slide_dir", "dist_const", "dist_amp", "dist_freq"):
             setattr(self, name, tuple(float(v) for v in getattr(self, name)))
+        d = np.asarray(self.slide_dir, dtype=float)
+        n = np.linalg.norm(d)
+        self._slide_unit = d / n if n > 0 else d
         # each component checks its own parameters when it is built
         for build in (self.surface, self.plant_config, self.gain_set,
                       self.rlse_config):
@@ -185,10 +192,8 @@ class Scenario:
     def motion_setpoint(self, t: float, x_m0: np.ndarray) -> np.ndarray:
         if self.motion_profile == "hold":
             return x_m0
-        d = np.asarray(self.slide_dir, dtype=float)
-        n = np.linalg.norm(d)
-        d = d / n if n > 0 else d
-        return x_m0 + d * self.slide_speed * max(0.0, t - self.slide_start)
+        return (x_m0 + self._slide_unit * self.slide_speed
+                * max(0.0, t - self.slide_start))
 
     # -- serialization -----------------------------------------------------
 

@@ -213,30 +213,16 @@ def contact_force(x_f: float, x_dot_f: float, surface: SurfaceModel) -> float:
     return -surface.k_e * pen - surface.b_e * x_dot_f
 
 
-def rk4(f, t: float, y: list, h: float) -> list:
-    """One classical 4th-order Runge-Kutta step of y' = f(t, y), y a list."""
-    h2 = 0.5 * h
-    k1 = f(t, y)
-    k2 = f(t + h2, [a + h2 * k for a, k in zip(y, k1)])
-    k3 = f(t + h2, [a + h2 * k for a, k in zip(y, k2)])
-    k4 = f(t + h, [a + h * k for a, k in zip(y, k3)])
-    h6 = h / 6.0
-    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-
-
-def _dynamics(T: float, phi_r, surface: SurfaceModel, cfg: PlantConfig):
-    """The plant's y' = f(t, y), y = p_e + v_e + phi, under fixed commands."""
-    m, mg, tau = cfg.m_t, cfg.m_t * cfg.g, cfg.tau_att
+def _acceleration(T: float, surface: SurfaceModel, cfg: PlantConfig):
+    """The plant's v' = a(t, p_e, v_e, phi) under a fixed thrust, in floats."""
+    m, mg = cfg.m_t, cfg.m_t * cfg.g
     k_e, b_e, x_fs = surface.k_e, surface.b_e, surface.x_fs
     bx, by, bz = surface.B_f.tolist()
     dist = cfg.disturbance
     fric = dist.tangential_friction
     const = None if any(dist.amp.tolist()) else dist.const.tolist()
-    rx_r, ry_r, rz_r = phi_r
 
-    def f(t, y):
-        px, py, pz, vx, vy, vz, rx, ry, rz = y
+    def a(t, px, py, pz, vx, vy, vz, rx, ry, rz):
         dx, dy, dz = dist.force(t).tolist() if const is None else const
         tx, ty, tz = thrust_direction((rx, ry, rz))
         fx = T * tx + dx
@@ -255,22 +241,74 @@ def _dynamics(T: float, phi_r, surface: SurfaceModel, cfg: PlantConfig):
                 fx -= fric * (vx - x_dot_f * bx)
                 fy -= fric * (vy - x_dot_f * by)
                 fz -= fric * (vz - x_dot_f * bz)
+        return fx / m, fy / m, fz / m
 
-        if tau > 0.0:
-            return [vx, vy, vz, fx / m, fy / m, fz / m,
-                    (rx_r - rx) / tau, (ry_r - ry) / tau, (rz_r - rz) / tau]
-        return [vx, vy, vz, fx / m, fy / m, fz / m, 0.0, 0.0, 0.0]
+    return a
 
-    return f
+
+def _rk4_step(T: float, phi_r, surface: SurfaceModel, cfg: PlantConfig):
+    """One classical RK4 step y(t) -> y(t + h) of the plant, y = p_e + v_e + phi.
+
+    The state is nine floats and the step is unrolled per state, with the
+    operation order of a generic RK4 step on a list (stage k_i of every
+    element, then y + h/6 (k1 + 2 k2 + 2 k3 + k4)), so the result is the
+    same to the last bit. The attitude follows phi' = (phi_r - phi)/tau_att,
+    or phi' = 0 when there is no lag.
+    """
+    acc = _acceleration(T, surface, cfg)
+    tau = cfg.tau_att
+    rx_r, ry_r, rz_r = phi_r
+    no_lag = (0.0, 0.0, 0.0)
+
+    def rk(t, y, h):
+        px, py, pz, vx, vy, vz, rx, ry, rz = y
+        h2 = 0.5 * h
+        ax1, ay1, az1 = acc(t, px, py, pz, vx, vy, vz, rx, ry, rz)
+        wx1, wy1, wz1 = ((rx_r - rx) / tau, (ry_r - ry) / tau,
+                         (rz_r - rz) / tau) if tau > 0.0 else no_lag
+
+        px2, py2, pz2 = px + h2 * vx, py + h2 * vy, pz + h2 * vz
+        vx2, vy2, vz2 = vx + h2 * ax1, vy + h2 * ay1, vz + h2 * az1
+        rx2, ry2, rz2 = rx + h2 * wx1, ry + h2 * wy1, rz + h2 * wz1
+        ax2, ay2, az2 = acc(t + h2, px2, py2, pz2, vx2, vy2, vz2, rx2, ry2, rz2)
+        wx2, wy2, wz2 = ((rx_r - rx2) / tau, (ry_r - ry2) / tau,
+                         (rz_r - rz2) / tau) if tau > 0.0 else no_lag
+
+        px3, py3, pz3 = px + h2 * vx2, py + h2 * vy2, pz + h2 * vz2
+        vx3, vy3, vz3 = vx + h2 * ax2, vy + h2 * ay2, vz + h2 * az2
+        rx3, ry3, rz3 = rx + h2 * wx2, ry + h2 * wy2, rz + h2 * wz2
+        ax3, ay3, az3 = acc(t + h2, px3, py3, pz3, vx3, vy3, vz3, rx3, ry3, rz3)
+        wx3, wy3, wz3 = ((rx_r - rx3) / tau, (ry_r - ry3) / tau,
+                         (rz_r - rz3) / tau) if tau > 0.0 else no_lag
+
+        px4, py4, pz4 = px + h * vx3, py + h * vy3, pz + h * vz3
+        vx4, vy4, vz4 = vx + h * ax3, vy + h * ay3, vz + h * az3
+        rx4, ry4, rz4 = rx + h * wx3, ry + h * wy3, rz + h * wz3
+        ax4, ay4, az4 = acc(t + h, px4, py4, pz4, vx4, vy4, vz4, rx4, ry4, rz4)
+        wx4, wy4, wz4 = ((rx_r - rx4) / tau, (ry_r - ry4) / tau,
+                         (rz_r - rz4) / tau) if tau > 0.0 else no_lag
+
+        h6 = h / 6.0
+        return [px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
+                py + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
+                pz + h6 * (vz + 2.0 * vz2 + 2.0 * vz3 + vz4),
+                vx + h6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
+                vy + h6 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
+                vz + h6 * (az1 + 2.0 * az2 + 2.0 * az3 + az4),
+                rx + h6 * (wx1 + 2.0 * wx2 + 2.0 * wx3 + wx4),
+                ry + h6 * (wy1 + 2.0 * wy2 + 2.0 * wy3 + wy4),
+                rz + h6 * (wz1 + 2.0 * wz2 + 2.0 * wz3 + wz4)]
+
+    return rk
 
 
 _BISECT_TOL = 1e-6   # m, penetration resolution at a contact switch
 _MAX_SPLITS = 8
 
 
-def _step_with_events(f, pen, y, t, h, depth=0):
-    """RK4 step of length h, subdividing at contact boundary crossings."""
-    y1 = rk4(f, t, y, h)
+def _step_with_events(rk, pen, y, t, h, depth=0):
+    """Step rk(t, y, h) of length h, subdividing at contact boundary crossings."""
+    y1 = rk(t, y, h)
     pen0 = pen(y)
     pen1 = pen(y1)
     if depth >= _MAX_SPLITS or (pen0 > 0.0) == (pen1 > 0.0):
@@ -282,7 +320,7 @@ def _step_with_events(f, pen, y, t, h, depth=0):
     yc = y1
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        ym = rk4(f, t, y, mid)
+        ym = rk(t, y, mid)
         pm = pen(ym)
         if (pm > 0.0) == (pen0 > 0.0):
             lo = mid
@@ -297,7 +335,7 @@ def _step_with_events(f, pen, y, t, h, depth=0):
     rem = h - h_used
     if rem <= 0.0:
         return yc
-    return _step_with_events(f, pen, yc, t + h_used, rem, depth + 1)
+    return _step_with_events(rk, pen, yc, t + h_used, rem, depth + 1)
 
 
 def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
@@ -317,7 +355,7 @@ def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
 
     phi = phi_r if cfg.tau_att == 0.0 else state.phi.tolist()
     y = state.p_e.tolist() + state.v_e.tolist() + phi
-    y1 = _step_with_events(_dynamics(T, phi_r, surface, cfg), pen, y,
+    y1 = _step_with_events(_rk4_step(T, phi_r, surface, cfg), pen, y,
                            state.t, cfg.dt)
     if cfg.tau_att == 0.0:
         y1[6:9] = phi_r

@@ -50,8 +50,9 @@ class ReferenceState:
 def _track(x, v, target, wn: float, dt: float):
     """One RK4 step of x'' = -2 wn x' - wn^2 (x - target) for each coordinate.
 
-    This is plant.rk4 unrolled per coordinate, with its operation order.
-    Returns the positions, velocities and accelerations after the step.
+    This is a generic RK4 step unrolled per coordinate, with its operation
+    order, so the tests can check it bit for bit against one. Returns the
+    positions, velocities and accelerations after the step.
     """
     h2, h6 = 0.5 * dt, dt / 6.0
     c1, w2 = -2.0 * wn, wn * wn
@@ -109,8 +110,8 @@ def contact_step(ref: ReferenceState, f_fd: float, x_md, est: EnvEstimate,
     h2, h6 = 0.5 * h, h / 6.0
     c1, w2, nkb = -2.0 * omega_n, omega_n ** 2, -kb
 
-    # plant.rk4 on y = [f, f', x, x'] unrolled, with its operation order; x
-    # does not enter the derivative, so its stages are never formed
+    # a generic RK4 step on y = [f, f', x, x'] unrolled, with its operation
+    # order; x does not enter the derivative, so its stages are never formed
     f, fd, x, v = ref.f_fr, ref.f_fr_dot, ref.x_fr, ref.x_fr_dot
     for _ in range(n_sub):
         a1, b1 = c1 * fd - w2 * (f - f_fd), nkb * v - inv_b * fd

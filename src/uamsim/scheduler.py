@@ -399,19 +399,32 @@ def lambda_pair(sp: SwitchedParams) -> tuple[float, float, float]:
 
 def j_cost(k_f: float, b_f: float, k_p: float, k_d: float, k_e: float,
            b_e: float, m_t: float, box: GainBox) -> float:
-    """Finite-switching contraction plus box-centering penalties."""
-    try:
-        sp = switched_params(k_p, k_d, k_f, b_f, k_e, b_e, m_t)
-        _, _, prod = lambda_pair(sp)
-    except DegenerateDirection:
-        prod = 1.0
-    wk, wb = box.widths
-    mk, mb = box.mid
-    J = prod
+    """Finite-switching contraction plus box-centering penalties.
+
+    J = Lambda1*Lambda2 + (2/w_k)^2 (k_f - mid_k)^2 + (2/w_b)^2 (b_f - mid_b)^2,
+    with the product taken as 1 when the two modes are identical. The mode
+    parameters are those of switched_params, and a nonpositive one raises
+    ValueError as it does there.
+    """
+    K1 = k_p / m_t
+    B1 = k_d / m_t
+    K2 = (1.0 + k_f) * k_e / m_t
+    B2 = ((1.0 + k_f) * b_e + b_f) / m_t
+    if min(K1, B1, K2, B2) <= 0.0:
+        raise ValueError("switched-system parameters must be positive")
+    dK = K1 - K2
+    dB = B1 - B2
+    if dK == 0.0 and dB == 0.0:
+        J = 1.0
+    else:
+        J = _lambda_mode(K1, B1, dK, dB, 1) * _lambda_mode(K2, B2, dK, dB, 2)
+    k_lo, k_hi, b_lo, b_hi = box.k_f_min, box.k_f_max, box.b_f_min, box.b_f_max
+    wk = k_hi - k_lo
+    wb = b_hi - b_lo
     if wk > 0.0:
-        J += (2.0 / wk) ** 2 * (k_f - mk) ** 2
+        J += (2.0 / wk) ** 2 * (k_f - 0.5 * (k_lo + k_hi)) ** 2
     if wb > 0.0:
-        J += (2.0 / wb) ** 2 * (b_f - mb) ** 2
+        J += (2.0 / wb) ** 2 * (b_f - 0.5 * (b_lo + b_hi)) ** 2
     return J
 
 
@@ -429,24 +442,30 @@ def pattern_search_J(k_p: float, k_d: float, k_e: float, b_e: float,
             return j_cost(k, b, k_p, k_d, k_e, b_e, m_t, box)
     if seeds is None:
         seeds = [box.mid] + box.corners()
+    k_lo, k_hi, b_lo, b_hi = box.k_f_min, box.k_f_max, box.b_f_min, box.b_f_max
     wk, wb = box.widths
     wk = wk if wk > 0.0 else 1.0
     wb = wb if wb > 0.0 else 1.0
+    tol_k, tol_b = 1e-4 * wk, 1e-4 * wb
+    isfinite, inf = math.isfinite, math.inf
 
-    def _val(k, b):
-        v = cost(k, b)
-        return v if math.isfinite(v) else math.inf
-
-    best = (math.inf, box.mid[0], box.mid[1])
+    best = (inf, box.mid[0], box.mid[1])
     for seed in seeds:
         k, b = box.clamp(*seed)
-        f0 = _val(k, b)
+        f0 = cost(k, b)
+        if not isfinite(f0):
+            f0 = inf
         sk, sb = 0.25 * wk, 0.25 * wb
-        while sk > 1e-4 * wk or sb > 1e-4 * wb:
+        while sk > tol_k or sb > tol_b:
             improved = False
             for dk, db in ((sk, 0.0), (-sk, 0.0), (0.0, sb), (0.0, -sb)):
-                kk, bb = box.clamp(k + dk, b + db)
-                ff = _val(kk, bb)
+                # box.clamp, as comparisons on local bounds
+                kk, bb = k + dk, b + db
+                kk = k_lo if kk < k_lo else k_hi if kk > k_hi else kk
+                bb = b_lo if bb < b_lo else b_hi if bb > b_hi else bb
+                ff = cost(kk, bb)
+                if not isfinite(ff):
+                    ff = inf
                 if ff < f0:
                     k, b, f0 = kk, bb, ff
                     improved = True
@@ -471,11 +490,21 @@ _TIE_RANK = {NS3: 3, NS2: 2, NS1: 1}
 
 @dataclass
 class ScheduleResult:
+    """Scheduled gains, the path that chose them and whether they are certified.
+
+    NS-centroid gains satisfy a no-switching condition, so they are
+    certified. PatternSearch gains are certified when prod, their
+    Lambda1*Lambda2 (1 for identical modes), is below 1: alternations then
+    contract. Fallback gains are never certified.
+    """
+
     k_f: float
     b_f: float
     provenance: str
     condition_id: str | None = None
     J: float | None = None
+    prod: float | None = None
+    certified: bool = False
 
 
 def schedule(k_p: float, k_d: float, k_e_hat: float, b_e_hat: float,
@@ -490,13 +519,20 @@ def schedule(k_p: float, k_d: float, k_e_hat: float, b_e_hat: float,
         k_f, b_f = box.clamp(k_f, b_f)
         sp = switched_params(k_p, k_d, k_f, b_f, k_e_hat, b_e_hat, m_bar)
         if check_no_switch(best.condition_id, sp):
-            return ScheduleResult(k_f, b_f, NS_CENTROID, best.condition_id)
+            return ScheduleResult(k_f, b_f, NS_CENTROID, best.condition_id,
+                                  certified=True)
         # numerically marginal sliver: fall through to the search
 
     k_f, b_f, J = pattern_search_J(k_p, k_d, k_e_hat, b_e_hat, m_bar, box)
     if math.isfinite(J):
         k_f, b_f = box.clamp(k_f, b_f)
-        return ScheduleResult(k_f, b_f, PATTERN_SEARCH, J=J)
+        try:
+            prod = lambda_pair(switched_params(k_p, k_d, k_f, b_f, k_e_hat,
+                                               b_e_hat, m_bar))[2]
+        except DegenerateDirection:
+            prod = 1.0
+        return ScheduleResult(k_f, b_f, PATTERN_SEARCH, J=J, prod=prod,
+                              certified=prod < 1.0)
 
     k_f, b_f = box.clamp(box.k_f_min, k_d)
     return ScheduleResult(k_f, b_f, FALLBACK)

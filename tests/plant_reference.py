@@ -1,0 +1,98 @@
+"""Reference integration of the plant: a generic RK4 step on lists of floats
+and the plant's derivative as a function of the whole 9-float state.
+
+plant.step and the reference generator integrate with RK4 steps unrolled by
+hand; the tests check them bit for bit against rk4 on these derivatives,
+and the float paths of the controller against their numpy forms, on
+values from draw.
+"""
+
+from __future__ import annotations
+
+from uamsim import plant
+from uamsim.plant import thrust_direction
+
+
+def draw(rng, shape):
+    """Normal values with magnitudes from 1e-6 to 10, so that rounding in
+    any regrouped sum shows."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-6.0, 1.0, size=shape)
+
+
+def rk4(f, t: float, y: list, h: float) -> list:
+    """One classical 4th-order Runge-Kutta step of y' = f(t, y), y a list."""
+    h2 = 0.5 * h
+    k1 = f(t, y)
+    k2 = f(t + h2, [a + h2 * k for a, k in zip(y, k1)])
+    k3 = f(t + h2, [a + h2 * k for a, k in zip(y, k2)])
+    k4 = f(t + h, [a + h * k for a, k in zip(y, k3)])
+    h6 = h / 6.0
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+
+def dynamics(T: float, phi_r, surface, cfg):
+    """The plant's y' = f(t, y), y = p_e + v_e + phi, under fixed commands."""
+    m, mg, tau = cfg.m_t, cfg.m_t * cfg.g, cfg.tau_att
+    k_e, b_e, x_fs = surface.k_e, surface.b_e, surface.x_fs
+    bx, by, bz = surface.B_f.tolist()
+    dist = cfg.disturbance
+    fric = dist.tangential_friction
+    const = None if any(dist.amp.tolist()) else dist.const.tolist()
+    rx_r, ry_r, rz_r = phi_r
+
+    def f(t, y):
+        px, py, pz, vx, vy, vz, rx, ry, rz = y
+        dx, dy, dz = dist.force(t).tolist() if const is None else const
+        tx, ty, tz = thrust_direction((rx, ry, rz))
+        fx = T * tx + dx
+        fy = T * ty + dy
+        fz = T * tz + dz - mg
+
+        pen = bx * px + by * py + bz * pz - x_fs
+        if pen > 0.0:
+            x_dot_f = bx * vx + by * vy + bz * vz
+            fn = -k_e * pen - b_e * x_dot_f
+            fx += fn * bx
+            fy += fn * by
+            fz += fn * bz
+            if fric > 0.0:
+                # viscous tangential friction: -c * B_m B_m^T v_e
+                fx -= fric * (vx - x_dot_f * bx)
+                fy -= fric * (vy - x_dot_f * by)
+                fz -= fric * (vz - x_dot_f * bz)
+
+        if tau > 0.0:
+            return [vx, vy, vz, fx / m, fy / m, fz / m,
+                    (rx_r - rx) / tau, (ry_r - ry) / tau, (rz_r - rz) / tau]
+        return [vx, vy, vz, fx / m, fy / m, fz / m, 0.0, 0.0, 0.0]
+
+    return f
+
+
+def reference_step(state, T: float, phi_r, surface, cfg):
+    """The nine floats p_e + v_e + phi that plant.step should reach.
+
+    Integrates with rk4 on dynamics inside the plant's own contact-event
+    subdivision. Returns the state and the number of RK4 steps taken, which
+    is more than one when a crossing of the surface was bisected.
+    """
+    phi_r = [float(v) for v in phi_r]
+    f = dynamics(T, phi_r, surface, cfg)
+    steps = []
+
+    def rk(t, y, h):
+        steps.append(h)
+        return rk4(f, t, y, h)
+
+    bx, by, bz = surface.B_f.tolist()
+
+    def pen(y):
+        return bx * y[0] + by * y[1] + bz * y[2] - surface.x_fs
+
+    phi = phi_r if cfg.tau_att == 0.0 else state.phi.tolist()
+    y = state.p_e.tolist() + state.v_e.tolist() + phi
+    y1 = plant._step_with_events(rk, pen, y, state.t, cfg.dt)
+    if cfg.tau_att == 0.0:
+        y1[6:9] = phi_r
+    return y1, len(steps)

@@ -10,6 +10,8 @@ from uamsim.controller import (DOBState, GainSet, InfeasibleInput, compose_u,
 from uamsim.plant import Measurement, SurfaceModel, E3
 from uamsim.reference import CONTACT, FREE, ReferenceState
 
+from plant_reference import draw
+
 
 def vertical_surface():
     return SurfaceModel.from_tilt(0.0, p_s=(1.0, 0.0, 1.5))
@@ -113,6 +115,54 @@ def test_dob_force_term_only_in_contact():
     d1 = dob_update(DOBState(), m, 0.0, np.zeros(2), g, s, True, 2e-3)
     d2 = dob_update(DOBState(), m, 0.0, np.zeros(2), g, s, False, 2e-3)
     assert d1.z_f != d2.z_f
+
+
+def test_dob_and_motion_law_equal_numpy_forms_bit_for_bit():
+    # the float arithmetic of the observers, the motion law and the
+    # extraction must give exactly what their numpy vector forms give
+    rng = np.random.default_rng(21)
+    for i in range(500):
+        s = SurfaceModel.from_tilt(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
+        g = GainSet(k_p=rng.uniform(1.0, 50.0), k_d=rng.uniform(1.0, 50.0),
+                    K_mp=rng.uniform(1.0, 50.0), K_md=rng.uniform(1.0, 50.0),
+                    L_f=rng.uniform(1.0, 30.0), L_m=rng.uniform(1.0, 30.0),
+                    m_bar=rng.uniform(2.0, 6.0), g_bar=rng.uniform(9.7, 9.9))
+        x_f, x_dot_f, f_f, z_f, u_f = draw(rng, 5).tolist()
+        x_m, x_dot_m, z_m, u_m, d_m = draw(rng, (5, 2))
+        m = Measurement(x_f=x_f, x_dot_f=x_dot_f, x_m=x_m, x_dot_m=x_dot_m, f_f=f_f)
+        dob = DOBState(z_f=z_f, z_m=tuple(z_m.tolist()))
+        in_contact, dt = i % 2 == 0, rng.uniform(1e-4, 1e-2)
+
+        d_f, d_m_hat = dob_estimates(dob, m, g)
+        assert d_f == z_f + g.m_bar * g.L_f * x_dot_f
+        assert list(d_m_hat) == (z_m + g.m_bar * (g.L_m * x_dot_m)).tolist()
+
+        new = dob_update(dob, m, u_f, u_m, g, s, in_contact, dt)
+        s_f = (g.m_bar * g.g_bar * float(s.B_f[2]) - (f_f if in_contact else 0.0)
+               - u_f - g.m_bar * g.L_f * x_dot_f)
+        a = math.exp(-g.L_f * dt)
+        assert new.z_f == a * z_f + (1.0 - a) * s_f
+        s_m = g.m_bar * g.g_bar * s.B_m[2] - u_m - g.m_bar * (g.L_m * x_dot_m)
+        b = math.exp(-g.L_m * dt)
+        assert list(new.z_m) == (b * z_m + (1.0 - b) * s_m).tolist()
+
+        ref = ReferenceState(x_mr=draw(rng, 2), x_mr_dot=draw(rng, 2),
+                             x_mr_ddot=draw(rng, 2))
+        u = (g.m_bar * ref.x_mr_ddot + g.K_md * (ref.x_mr_dot - x_dot_m)
+             + g.K_mp * (ref.x_mr - x_m) + g.m_bar * g.g_bar * s.B_m[2] - d_m)
+        assert list(control_motion(ref, m, d_m, g, s)) == u.tolist()
+
+        phi = rng.uniform(-1.2, 1.2, 3)
+        u_e = np.array([*draw(rng, 2), rng.uniform(1.0, 80.0)])
+        c, sn = math.cos(phi[2]), math.sin(phi[2])
+        a = np.array([[c, sn, 0.0], [sn, -c, 0.0], [0.0, 0.0, 1.0]]) @ u_e
+        T = a[2] / (math.cos(phi[0]) * math.cos(phi[1]))
+        try:
+            out = extract_inputs(u_e, phi)
+        except InfeasibleInput:
+            assert abs(a[1] / T) > 1.0 or abs(a[0] / (T * math.cos(phi[0]))) > 1.0
+            continue
+        assert out == (T, math.asin(a[1] / T), math.asin(a[0] / (T * math.cos(phi[0]))))
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,8 @@ def test_unknown_preset_raises():
     dict(k_e=-1.0), dict(tau_att=-1.0), dict(L_f=0.0), dict(omega_n=0.0),
     dict(noise_f_f=-0.1), dict(friction=-1.0),
     dict(dist_amp=(math.nan, 0.0, 0.0)), dict(noise_pos=math.inf),
+    dict(force_period=0.0), dict(contact_threshold=-0.1), dict(slew_rate=-1.0),
+    dict(thrust_ceiling_factor=0.0), dict(sched_period=-0.1),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_scenario_validation(bad):
     with pytest.raises(ValueError):

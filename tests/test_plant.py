@@ -5,7 +5,9 @@ import pytest
 
 from uamsim.plant import (DisturbanceConfig, MeasurementNoise, PlantConfig,
                           PlantState, SurfaceModel, contact_force, measure,
-                          rk4, rotation, step, thrust_direction)
+                          rotation, step, thrust_direction)
+
+from plant_reference import draw, dynamics, reference_step, rk4
 
 
 def vertical_surface(k_e=200.0, b_e=0.5):
@@ -143,8 +145,10 @@ def test_step_rejects_nonfinite():
 def test_step_acceleration_identity_at_evaluation_point():
     # the evaluated derivative equals the closed form
     # a = -g e3 + (T R(phi) e3 + f_e + delta(t) - c_t B_m B_m^T v_e)/m_t,
-    # phi' = (phi_r - phi)/tau_att, with friction only while penetrated
-    from uamsim.plant import _dynamics
+    # phi' = (phi_r - phi)/tau_att, with friction only while penetrated;
+    # the reference derivative that plant.step is checked against bit for
+    # bit, and the plant's own acceleration, both give it
+    from uamsim.plant import _acceleration
 
     s = vertical_surface()
     sine = DisturbanceConfig(const=[0.3, -0.2, 0.1], amp=[0.5, 1.0, 0.0],
@@ -165,7 +169,8 @@ def test_step_acceleration_identity_at_evaluation_point():
         phi = phi_r if tau == 0.0 else np.array([0.01, 0.02, 0.1])
         st = PlantState(p_e=p_e, v_e=v_e, phi=phi)
         y = np.concatenate([st.p_e, st.v_e, st.phi])
-        d = np.array(_dynamics(T, phi_r.tolist(), s, cfg)(t, y.tolist()))
+        d = np.array(dynamics(T, phi_r.tolist(), s, cfg)(t, y.tolist()))
+        assert list(_acceleration(T, s, cfg)(t, *y.tolist())) == d[3:6].tolist()
         x_dot_f = float(s.B_f @ st.v_e)
         f_c = contact_force(float(s.B_f @ st.p_e), x_dot_f, s)
         delta = dist.const + dist.amp * np.sin(2.0 * math.pi * dist.freq_hz * t)
@@ -179,6 +184,52 @@ def test_step_acceleration_identity_at_evaluation_point():
         assert np.allclose(d[3:6], a_exp, rtol=0.0, atol=1e-14)
         dphi = (phi_r - st.phi) / tau if tau > 0.0 else np.zeros(3)
         assert np.allclose(d[6:9], dphi, rtol=0.0, atol=1e-14)
+
+
+def test_step_equals_generic_rk4_bit_for_bit():
+    # plant.step's unrolled RK4 must reproduce rk4 on the reference
+    # derivative exactly: in free flight, pressed into the surface, and on a
+    # step that crosses the surface and is bisected; with no disturbance, a
+    # constant one, a sinusoidal one and tangential friction; with and
+    # without attitude lag
+    rng = np.random.default_rng(17)
+    dt = 1e-3
+    for i in range(600):
+        where = ("free", "pressed", "crossing")[i % 3]
+        dist = [DisturbanceConfig(),
+                DisturbanceConfig(const=draw(rng, 3)),
+                DisturbanceConfig(const=draw(rng, 3), amp=draw(rng, 3),
+                                  freq_hz=rng.uniform(0.1, 50.0, 3)),
+                DisturbanceConfig(const=draw(rng, 3),
+                                  tangential_friction=rng.uniform(0.1, 5.0)),
+                ][(i // 3) % 4]
+        tau = 0.0 if (i // 12) % 2 == 0 else rng.uniform(0.005, 0.1)
+        cfg = PlantConfig(m_t=rng.uniform(2.0, 6.0), tau_att=tau,
+                          disturbance=dist, dt=dt)
+        s = SurfaceModel.from_tilt(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0),
+                                   p_s=draw(rng, 3), k_e=rng.uniform(50.0, 500.0),
+                                   b_e=rng.uniform(0.1, 1.0))
+        # penetration at the start of the step and normal speed into the
+        # surface: a crossing one reaches the surface 20-70% into the step
+        if where == "crossing":
+            v_n = 10.0 ** rng.uniform(-0.3, 1.0)
+            pen0 = -rng.uniform(0.2, 0.7) * v_n * dt
+        else:
+            v_n = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-6.0, 0.0)
+            pen0 = rng.uniform(0.1, 1.0) * (-1.0 if where == "free" else 0.05)
+        st = PlantState(p_e=s.p_s + pen0 * s.B_f + s.B_m @ draw(rng, 2),
+                        v_e=v_n * s.B_f + s.B_m @ draw(rng, 2),
+                        phi=draw(rng, 3), t=rng.uniform(0.0, 10.0))
+        T = rng.uniform(0.0, 80.0)
+        phi_r = draw(rng, 3)
+        out = step(st, T, phi_r, s, cfg)
+        y1, n_rk4 = reference_step(st, T, phi_r, s, cfg)
+        assert out.p_e.tolist() + out.v_e.tolist() + out.phi.tolist() == y1
+        pen1 = float(s.B_f @ out.p_e) - s.x_fs
+        assert out.in_contact == (pen1 > 0.0)
+        assert out.t == st.t + dt
+        assert (n_rk4 > 1) == (where == "crossing")
+        assert out.in_contact == (where != "free")
 
 
 def test_rk4_exponential_decay_matches_taylor_polynomial():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from uamsim.estimator import EnvEstimate
-from uamsim.plant import rk4
 from uamsim.reference import (CONTACT, FREE, ReferenceState, contact_step,
                               free_step, switch_mode)
+
+from plant_reference import draw, rk4
 
 WN = 10.0
 DT = 2e-3
@@ -109,7 +110,7 @@ def test_contact_step_rejects_nonpositive_damping_estimate():
 
 
 def generic_track(x, v, target, wn, dt):
-    # one plant.rk4 step of x'' = -2 wn x' - wn^2 (x - target), all axes at once
+    # one generic rk4 step of x'' = -2 wn x' - wn^2 (x - target), all axes at once
     n = len(x)
 
     def f(t, y):
@@ -120,11 +121,6 @@ def generic_track(x, v, target, wn, dt):
     acc = [-2.0 * wn * vv - wn ** 2 * (xx - c)
            for xx, vv, c in zip(y[:n], y[n:], target)]
     return y[:n], y[n:], acc
-
-
-def draw(rng, shape):
-    # magnitudes from 1e-6 to 10, so that rounding in any stage sum shows
-    return rng.normal(size=shape) * 10.0 ** rng.uniform(-6.0, 1.0, size=shape)
 
 
 def test_free_step_equals_generic_rk4_bit_for_bit():
@@ -141,7 +137,7 @@ def test_free_step_equals_generic_rk4_bit_for_bit():
 
 
 def test_contact_step_equals_generic_rk4_bit_for_bit():
-    # the unrolled substeps must reproduce n_sub plant.rk4 steps of
+    # the unrolled substeps must reproduce n_sub generic rk4 steps of
     # y' = [f', -2 wn f' - wn^2 (f - f_fd), x', -(k/b) x' - f'/b] exactly
     rng = np.random.default_rng(6)
     seen = set()

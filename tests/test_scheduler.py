@@ -267,6 +267,117 @@ def test_pattern_search_multistart_consistency():
 # scheduling procedure
 # ---------------------------------------------------------------------------
 
+def old_pattern_search(cost, box, seeds):
+    # the search loop as it was written on GainBox's methods, for reference
+    wk, wb = box.widths
+    wk = wk if wk > 0.0 else 1.0
+    wb = wb if wb > 0.0 else 1.0
+
+    def _val(k, b):
+        v = cost(k, b)
+        return v if math.isfinite(v) else math.inf
+
+    best = (math.inf, box.mid[0], box.mid[1])
+    for seed in seeds:
+        k, b = box.clamp(*seed)
+        f0 = _val(k, b)
+        sk, sb = 0.25 * wk, 0.25 * wb
+        while sk > 1e-4 * wk or sb > 1e-4 * wb:
+            improved = False
+            for dk, db in ((sk, 0.0), (-sk, 0.0), (0.0, sb), (0.0, -sb)):
+                kk, bb = box.clamp(k + dk, b + db)
+                ff = _val(kk, bb)
+                if ff < f0:
+                    k, b, f0 = kk, bb, ff
+                    improved = True
+            if not improved:
+                sk *= 0.5
+                sb *= 0.5
+        if f0 < best[0]:
+            best = (f0, k, b)
+    return best[1], best[2], best[0]
+
+
+def test_pattern_search_equals_old_loop_bit_for_bit():
+    # the default cost, seeds inside and outside the box, a cost that is
+    # not finite in places and boxes that are a segment or a point
+    rng = np.random.default_rng(4)
+    boxes = [BOX, GainBox(0.2, 0.2, 10.0, 40.0), GainBox(0.1, 1.0, 25.0, 25.0),
+             GainBox(0.5, 0.5, 20.0, 20.0)]
+    for i in range(40):
+        box = boxes[i % 4]
+        k_e, b_e, m_t = rng.uniform(50.0, 500.0), rng.uniform(0.1, 1.0), rng.uniform(3.0, 5.0)
+
+        def cost(k, b):
+            return j_cost(k, b, 23.5, 19.5, k_e, b_e, m_t, box)
+
+        def holes(k, b):
+            return math.nan if (k * 7.0 + b) % 1.0 < 0.3 else cost(k, b)
+
+        seeds = [box.mid] + box.corners()
+        assert (pattern_search_J(23.5, 19.5, k_e, b_e, m_t, box)
+                == old_pattern_search(cost, box, seeds))
+        wild = [(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 50.0)) for _ in range(3)]
+        assert (pattern_search_J(23.5, 19.5, k_e, b_e, m_t, box, seeds=wild, cost=holes)
+                == old_pattern_search(holes, box, wild))
+
+
+def reference_j(k_f, b_f, k_p, k_d, k_e, b_e, m_t, box):
+    try:
+        prod = lambda_pair(switched_params(k_p, k_d, k_f, b_f, k_e, b_e, m_t))[2]
+    except DegenerateDirection:
+        prod = 1.0
+    wk, wb = box.widths
+    mk, mb = box.mid
+    J = prod
+    if wk > 0.0:
+        J += (2.0 / wk) ** 2 * (k_f - mk) ** 2
+    if wb > 0.0:
+        J += (2.0 / wb) ** 2 * (b_f - mb) ** 2
+    return J
+
+
+def test_j_cost_equals_switched_params_and_lambda_pair_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for i in range(3000):
+        k_lo, b_lo = rng.uniform(0.05, 1.0), rng.uniform(5.0, 30.0)
+        # a box, a segment or a point in the gain plane
+        box = GainBox(k_lo, k_lo + (i % 3 != 1) * rng.uniform(0.0, 2.0),
+                      b_lo, b_lo + (i % 3 != 2) * rng.uniform(0.0, 40.0))
+        args = (rng.uniform(box.k_f_min, box.k_f_max), rng.uniform(box.b_f_min, box.b_f_max),
+                rng.uniform(1.0, 60.0), rng.uniform(1.0, 40.0), rng.uniform(10.0, 600.0),
+                rng.uniform(0.05, 1.5), rng.uniform(2.0, 6.0), box)
+        assert j_cost(*args) == reference_j(*args)
+    # identical modes: the product counts as 1
+    box = GainBox(0.1, 0.9, 0.5, 1.5)
+    args = (0.5, 1.0, 3.0, 4.0, 2.0, 2.0, 1.7, box)     # K1 = K2, B1 = B2
+    with pytest.raises(DegenerateDirection):
+        lambda_pair(switched_params(*args[2:4], *args[:2], *args[4:7]))
+    assert j_cost(*args) == 1.0 == reference_j(*args)
+    assert j_cost(0.9, 0.5, *args[2:]) == reference_j(0.9, 0.5, *args[2:]) > 1.0
+    # nonpositive mode parameters
+    for bad in ((0.5, 20.0, -1.0, 19.5, 200.0, 0.5, 4.0, BOX),
+                (0.5, 20.0, 23.5, 0.0, 200.0, 0.5, 4.0, BOX),
+                (0.5, 20.0, 23.5, 19.5, -200.0, 0.5, 4.0, BOX),
+                (0.5, -30.0, 23.5, 19.5, 200.0, 0.5, 4.0, BOX)):
+        with pytest.raises(ValueError):
+            reference_j(*bad)
+        with pytest.raises(ValueError):
+            j_cost(*bad)
+
+
+def test_schedule_reports_whether_pattern_search_is_certified():
+    # prod is Lambda1*Lambda2 at the returned gains; below 1 certifies them
+    for k_e, b_e, m_t, certified in ((200.0, 0.5, 4.2, True), (430.0, 0.55, 3.25, True),
+                                     (340.0, 0.5, 4.5, False), (500.0, 0.2, 5.0, False)):
+        res = schedule(23.5, 19.5, k_e, b_e, m_t, BOX)
+        assert res.provenance == sched.PATTERN_SEARCH
+        sp = switched_params(23.5, 19.5, res.k_f, res.b_f, k_e, b_e, m_t)
+        assert res.prod == lambda_pair(sp)[2]
+        assert res.certified == certified == (res.prod < 1.0)
+    assert res.prod > 1.4
+
+
 def test_schedule_fallback_on_nonfinite_search(monkeypatch):
     def broken_search(*args, **kwargs):
         return 0.5, 20.0, math.inf
@@ -276,12 +387,14 @@ def test_schedule_fallback_on_nonfinite_search(monkeypatch):
     assert res.provenance == sched.FALLBACK
     assert res.k_f == pytest.approx(0.1)
     assert res.b_f == pytest.approx(19.5)
+    assert res.prod is None and not res.certified
 
 
 def test_schedule_centroid_certified_when_ns_nonempty():
     # soft environment with nonempty NS2 region
     res = schedule(23.5, 19.5, 50.0, 1.0, 4.0, BOX)
     assert res.provenance == sched.NS_CENTROID
+    assert res.certified
     sp = switched_params(23.5, 19.5, res.k_f, res.b_f, 50.0, 1.0, 4.0)
     assert check_no_switch(res.condition_id, sp)
 
