@@ -78,7 +78,9 @@ def cmd_region_export(args) -> int:
 
 def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as ex:
+    # the executor starts all of its workers at once
+    workers = min(args.jobs or os.cpu_count() or 1, len(args.scenarios))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
         futs = {ex.submit(_run_one, s, args.out, args.seed, args.duration): s
                 for s in args.scenarios}
         for fut in concurrent.futures.as_completed(futs):
@@ -87,6 +89,13 @@ def cmd_sweep(args) -> int:
             rms = m.get("force_rms", float("nan"))
             print(f"{name}: force_rms={rms}")
     return 0
+
+
+def _at_least_one(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("sweep", help="run several scenarios in parallel")
     q.add_argument("scenarios", nargs="+")
     q.add_argument("--out", default="out")
-    q.add_argument("--jobs", type=int, default=None)
+    q.add_argument("--jobs", type=_at_least_one, default=None,
+                   help="worker processes (default: CPU count), at most one "
+                        "per scenario")
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--duration", type=float, default=None)
     q.set_defaults(func=cmd_sweep)

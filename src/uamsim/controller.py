@@ -57,7 +57,7 @@ def dob_estimates(dob: DOBState, meas: Measurement,
     """Current disturbance estimates Delta_hat = z + nu (no state change)."""
     m_bar, L_m = gains.m_bar, gains.L_m
     z0, z1 = dob.z_m
-    v0, v1 = meas.x_dot_m.tolist()
+    v0, v1 = meas.x_dot_m
     return (dob.z_f + m_bar * gains.L_f * meas.x_dot_f,
             (z0 + m_bar * (L_m * v0), z1 + m_bar * (L_m * v1)))
 
@@ -80,13 +80,13 @@ def dob_update(dob: DOBState, meas: Measurement, u_bar_f: float, u_bar_m,
     f_f = meas.f_f if in_contact else 0.0
 
     nu_f = m_bar * gains.L_f * meas.x_dot_f
-    s_f = mg * float(surface.B_f[2]) - f_f - u_bar_f - nu_f
+    s_f = mg * surface.B_f_floats[2] - f_f - u_bar_f - nu_f
     a = math.exp(-gains.L_f * dt)
     z_f = a * dob.z_f + (1.0 - a) * s_f
 
-    g0, g1 = surface.B_m[2].tolist()
+    g0, g1 = surface.B_m_z
     u0, u1 = u_bar_m
-    v0, v1 = meas.x_dot_m.tolist()
+    v0, v1 = meas.x_dot_m
     z0, z1 = dob.z_m
     s0 = mg * g0 - u0 - m_bar * (L_m * v0)
     s1 = mg * g1 - u1 - m_bar * (L_m * v1)
@@ -98,7 +98,7 @@ def dob_update(dob: DOBState, meas: Measurement, u_bar_f: float, u_bar_m,
 def control_force(ref: ReferenceState, meas: Measurement, delta_f_hat: float,
                   gains: GainSet, surface: SurfaceModel) -> float:
     """Desired force-space input for the reference's mode, N."""
-    g_term = gains.m_bar * gains.g_bar * float(surface.B_f[2])
+    g_term = gains.m_bar * gains.g_bar * surface.B_f_floats[2]
     e_xf = ref.x_fr - meas.x_f
     e_xf_dot = ref.x_fr_dot - meas.x_dot_f
     if ref.mode == FREE:
@@ -114,12 +114,12 @@ def control_motion(ref: ReferenceState, meas: Measurement, delta_m_hat,
     """Desired motion-plane input, N (2-vector)."""
     m_bar, K_mp, K_md = gains.m_bar, gains.K_mp, gains.K_md
     mg = m_bar * gains.g_bar
-    g0, g1 = surface.B_m[2].tolist()
-    r0, r1 = ref.x_mr.tolist()
-    rd0, rd1 = ref.x_mr_dot.tolist()
-    rdd0, rdd1 = ref.x_mr_ddot.tolist()
-    x0, x1 = meas.x_m.tolist()
-    xd0, xd1 = meas.x_dot_m.tolist()
+    g0, g1 = surface.B_m_z
+    r0, r1 = ref.x_mr
+    rd0, rd1 = ref.x_mr_dot
+    rdd0, rdd1 = ref.x_mr_ddot
+    x0, x1 = meas.x_m
+    xd0, xd1 = meas.x_dot_m
     d0, d1 = delta_m_hat
     return (m_bar * rdd0 + K_md * (rd0 - xd0) + K_mp * (r0 - x0) + mg * g0 - d0,
             m_bar * rdd1 + K_md * (rd1 - xd1) + K_mp * (r1 - x1) + mg * g1 - d1)
@@ -142,7 +142,7 @@ def extract_inputs(u_bar_e, phi) -> tuple[float, float, float]:
     singularity, the vertical component is not positive, or an asin argument
     leaves [-1, 1].
     """
-    phi_x, phi_y, phi_z = float(phi[0]), float(phi[1]), float(phi[2])
+    phi_x, phi_y, phi_z = phi
     if abs(phi_x) >= 0.5 * math.pi or abs(phi_y) >= 0.5 * math.pi:
         raise InfeasibleInput("roll/pitch at extraction singularity")
     a_x, a_y, a_z = (_psi(phi_z) @ u_bar_e).tolist()

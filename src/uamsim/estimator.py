@@ -50,11 +50,15 @@ class EnvEstimate:
         self.P = np.asarray(self.P, dtype=float).reshape(2, 2)
 
 
-def _lambda_max_2x2(P: np.ndarray) -> float:
-    a, b, c = P[0, 0], P[0, 1], P[1, 1]
+def _lambda_max(a: float, b: float, c: float) -> float:
+    """Largest eigenvalue of the symmetric matrix [[a, b], [b, c]]."""
     h = 0.5 * (a + c)
     r = math.sqrt(max(0.25 * (a - c) ** 2 + b * b, 0.0))
     return h + r
+
+
+def _lambda_max_2x2(P: np.ndarray) -> float:
+    return _lambda_max(P[0, 0], P[0, 1], P[1, 1])
 
 
 def rlse_update(est: EnvEstimate, x_f: float, x_dot_f: float, f_f: float,
@@ -83,10 +87,11 @@ def rlse_update(est: EnvEstimate, x_f: float, x_dot_f: float, f_f: float,
     n01 = p01 + dt * (cfg.mu1 * p01 - cfg.mu2 * (py0 * py1))
     n10 = p10 + dt * (cfg.mu1 * p10 - cfg.mu2 * (py1 * py0))
     n11 = p11 + dt * (cfg.mu1 * p11 - cfg.mu2 * (py1 * py1))
-    off = 0.5 * (n01 + n10)
-    P_new = np.array([[0.5 * (n00 + n00), off], [off, 0.5 * (n11 + n11)]])
-    if _lambda_max_2x2(P_new) > cfg.rho_M:
+    d0, off, d1 = 0.5 * (n00 + n00), 0.5 * (n01 + n10), 0.5 * (n11 + n11)
+    if _lambda_max(d0, off, d1) > cfg.rho_M:
         P_new = est.P                                  # freeze
+    else:
+        P_new = np.array([[d0, off], [off, d1]])
 
     return EnvEstimate(
         k_hat=min(max(est.k_hat + dt * py0 * eps, cfg.k_min), cfg.k_max),

@@ -13,6 +13,7 @@ import gc
 import json
 import math
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -114,6 +115,14 @@ class Scenario:
     b_f_max: float = 40.0
 
     def __post_init__(self):
+        for name in ("p_s", "slide_dir", "dist_const", "dist_amp", "dist_freq"):
+            setattr(self, name, tuple(float(v) for v in getattr(self, name)))
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, str) or v is None:     # m_bar may be None
+                continue
+            if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
+                raise ValueError(f"{f.name} must be finite")
         if self.duration < 0.0:
             raise ValueError("duration must be nonnegative")
         if self.approach_speed <= 0.0:
@@ -135,11 +144,9 @@ class Scenario:
         for name in ("contact_threshold", "slew_rate", "sched_period"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be nonnegative")
-        for name in ("p_s", "slide_dir", "dist_const", "dist_amp", "dist_freq"):
-            setattr(self, name, tuple(float(v) for v in getattr(self, name)))
         d = np.asarray(self.slide_dir, dtype=float)
         n = np.linalg.norm(d)
-        self._slide_unit = d / n if n > 0 else d
+        self._slide_unit = tuple((d / n if n > 0 else d).tolist())
         # each component checks its own parameters when it is built
         for build in (self.surface, self.plant_config, self.gain_set,
                       self.rlse_config):
@@ -189,11 +196,12 @@ class Scenario:
         return self.force_mean + self.force_amp * math.cos(
             2.0 * math.pi * t_since_contact / self.force_period)
 
-    def motion_setpoint(self, t: float, x_m0: np.ndarray) -> np.ndarray:
+    def motion_setpoint(self, t: float, x_m0) -> tuple[float, float]:
         if self.motion_profile == "hold":
             return x_m0
-        return (x_m0 + self._slide_unit * self.slide_speed
-                * max(0.0, t - self.slide_start))
+        (x0, x1), (u0, u1) = x_m0, self._slide_unit
+        s, travel = self.slide_speed, max(0.0, t - self.slide_start)
+        return (x0 + u0 * s * travel, x1 + u1 * s * travel)
 
     # -- serialization -----------------------------------------------------
 
@@ -312,7 +320,7 @@ def run(scenario: Scenario) -> RunLog:
     rng = np.random.default_rng(scenario.seed)
 
     p0 = surface.p_s - scenario.standoff * surface.B_f
-    st = PlantState(p_e=p0, v_e=np.zeros(3), phi=np.zeros(3))
+    st = PlantState(p_e=p0, v_e=(0.0, 0.0, 0.0), phi=(0.0, 0.0, 0.0))
 
     gains = scenario.gain_set()
     box = scenario.gain_box()
@@ -324,7 +332,7 @@ def run(scenario: Scenario) -> RunLog:
     slew = sched.SlewLimitedGains(gains.k_f, gains.b_f, rate=scenario.slew_rate)
 
     x_f0 = float(surface.B_f @ p0)
-    x_m0 = surface.B_m.T @ p0
+    x_m0 = tuple((surface.B_m.T @ p0).tolist())
     ref = refgen.ReferenceState.at_rest(x_f0, x_m0)
 
     dt = scenario.plant_dt
@@ -334,7 +342,7 @@ def run(scenario: Scenario) -> RunLog:
     ceiling = scenario.thrust_ceiling_factor * gains.m_bar * gains.g_bar
     x_fd_target = surface.x_fs + scenario.approach_depth
 
-    rows = []
+    rows = array("d")             # the log, row after row
     events = []
     T_cmd = pcfg.m_t * pcfg.g
     phi_r = (0.0, 0.0, scenario.yaw_ref)
@@ -350,7 +358,7 @@ def run(scenario: Scenario) -> RunLog:
         t = i * dt
 
         if i % ctl_every == 0:
-            if not all(map(math.isfinite, st.p_e.tolist() + st.v_e.tolist())):
+            if not all(map(math.isfinite, (*st.p_e, *st.v_e))):
                 raise RuntimeError(f"non-finite plant state at t={t:.3f}")
 
             meas = plantmod.measure(st, surface, pcfg, rng)
@@ -427,14 +435,13 @@ def run(scenario: Scenario) -> RunLog:
                 saturated = False
             phi_r = (phi_xr, phi_yr, scenario.yaw_ref)
 
-            rows.append((
-                t, st.p_e[0], st.p_e[1], st.p_e[2], meas.x_f, meas.f_f,
-                ref.f_fr, meas.x_m[0], meas.x_m[1], ref.x_mr[0], ref.x_mr[1],
+            rows.fromlist([
+                t, *st.p_e, meas.x_f, meas.f_f, ref.f_fr, *meas.x_m, *ref.x_mr,
                 gains.k_f, gains.b_f, est.k_hat, est.b_hat,
                 1.0 if ref.mode == refgen.CONTACT else 0.0,
                 1.0 if st.in_contact else 0.0,
-                T_cmd, st.phi[0], st.phi[1], st.phi[2],
-            ))
+                T_cmd, *st.phi,
+            ])
 
         if i == n_steps:
             break
@@ -444,7 +451,7 @@ def run(scenario: Scenario) -> RunLog:
             events.append((st.t, kind, ""))
             was_in_contact_true = st.in_contact
 
-    return RunLog(data=np.array(rows), events=events)
+    return RunLog(data=np.frombuffer(rows), events=events)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ sinusoid, plus an optional viscous tangential friction term active during
 contact).
 
 All quantities are SI (m, s, kg, N, rad). The inertial frame is z-up.
+The state and measurement vectors are tuples of Python floats.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 E3 = np.array([0.0, 0.0, 1.0])
+
+
+def as_floats(v, n: int) -> tuple:
+    """v as a tuple of n Python floats; ValueError if it has another size."""
+    return tuple(np.asarray(v, dtype=float).reshape(n).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -42,21 +48,25 @@ class SurfaceModel:
     k_e: float = 200.0
     b_e: float = 0.5
     x_fs: float = field(init=False)   # coordinate of p_s along B_f
+    B_f_floats: tuple = field(init=False, repr=False)   # B_f as three floats
+    B_m_z: tuple = field(init=False, repr=False)        # row 2 of B_m, two floats
 
     def __post_init__(self):
         self.B_f = np.asarray(self.B_f, dtype=float).reshape(3)
         self.B_m = np.asarray(self.B_m, dtype=float).reshape(3, 2)
         self.p_s = np.asarray(self.p_s, dtype=float).reshape(3)
-        if self.k_e <= 0.0 or self.b_e <= 0.0:
+        if not (self.k_e > 0.0 and self.b_e > 0.0):
             raise ValueError("surface stiffness/damping must be positive")
         self.validate_basis()
         self.x_fs = float(self.B_f @ self.p_s)
+        self.B_f_floats = tuple(self.B_f.tolist())
+        self.B_m_z = tuple(self.B_m[2].tolist())
 
     def validate_basis(self, tol: float = 1e-12) -> None:
         """Check [B_f B_m] is orthonormal to within tol."""
         M = np.column_stack([self.B_f, self.B_m])
         err = np.abs(M.T @ M - np.eye(3)).max()
-        if err > tol:
+        if not err <= tol:
             raise ValueError(f"[B_f B_m] not orthonormal (max deviation {err:.3e})")
 
     @classmethod
@@ -105,6 +115,8 @@ class DisturbanceConfig:
         if not (np.all(np.isfinite([self.const, self.amp, self.freq_hz]))
                 and 0.0 <= self.tangential_friction < math.inf):
             raise ValueError("disturbance must be finite, friction nonnegative")
+        # the force as three floats when it does not vary, else None
+        self._steady = None if self.amp.any() else tuple(self.const.tolist())
 
     def force(self, t: float) -> np.ndarray:
         return self.const + self.amp * np.sin(2.0 * math.pi * self.freq_hz * t)
@@ -121,9 +133,7 @@ class MeasurementNoise:
     def __post_init__(self):
         if not all(0.0 <= v < math.inf for v in (self.pos, self.vel, self.f_f)):
             raise ValueError("noise std-devs must be finite and nonnegative")
-
-    def any(self) -> bool:
-        return any(v > 0.0 for v in (self.pos, self.vel, self.f_f))
+        self._any = any(v > 0.0 for v in (self.pos, self.vel, self.f_f))
 
 
 @dataclass
@@ -150,25 +160,44 @@ class PlantConfig:
 
 @dataclass
 class PlantState:
-    p_e: np.ndarray
-    v_e: np.ndarray
-    phi: np.ndarray                      # roll, pitch, yaw actually achieved
+    p_e: tuple[float, float, float]
+    v_e: tuple[float, float, float]
+    phi: tuple[float, float, float]      # roll, pitch, yaw actually achieved
     in_contact: bool = False
     t: float = 0.0
 
     def __post_init__(self):
-        self.p_e = np.asarray(self.p_e, dtype=float).reshape(3)
-        self.v_e = np.asarray(self.v_e, dtype=float).reshape(3)
-        self.phi = np.asarray(self.phi, dtype=float).reshape(3)
+        self.p_e = as_floats(self.p_e, 3)
+        self.v_e = as_floats(self.v_e, 3)
+        self.phi = as_floats(self.phi, 3)
 
 
 @dataclass
 class Measurement:
     x_f: float
     x_dot_f: float
-    x_m: np.ndarray
-    x_dot_m: np.ndarray
+    x_m: tuple[float, float]
+    x_dot_m: tuple[float, float]
     f_f: float
+
+    def __post_init__(self):
+        self.x_m = as_floats(self.x_m, 2)
+        self.x_dot_m = as_floats(self.x_dot_m, 2)
+
+
+# step and measure build their results from values that already have the
+# field types, so they skip the constructors' conversion
+
+def _plant_state(p_e, v_e, phi, in_contact, t) -> PlantState:
+    s = object.__new__(PlantState)
+    s.p_e, s.v_e, s.phi, s.in_contact, s.t = p_e, v_e, phi, in_contact, t
+    return s
+
+
+def _measurement(x_f, x_dot_f, x_m, x_dot_m, f_f) -> Measurement:
+    m = object.__new__(Measurement)
+    m.x_f, m.x_dot_f, m.x_m, m.x_dot_m, m.f_f = x_f, x_dot_f, x_m, x_dot_m, f_f
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +246,13 @@ def _acceleration(T: float, surface: SurfaceModel, cfg: PlantConfig):
     """The plant's v' = a(t, p_e, v_e, phi) under a fixed thrust, in floats."""
     m, mg = cfg.m_t, cfg.m_t * cfg.g
     k_e, b_e, x_fs = surface.k_e, surface.b_e, surface.x_fs
-    bx, by, bz = surface.B_f.tolist()
+    bx, by, bz = surface.B_f_floats
     dist = cfg.disturbance
     fric = dist.tangential_friction
-    const = None if any(dist.amp.tolist()) else dist.const.tolist()
+    steady = dist._steady
 
     def a(t, px, py, pz, vx, vy, vz, rx, ry, rz):
-        dx, dy, dz = dist.force(t).tolist() if const is None else const
+        dx, dy, dz = dist.force(t).tolist() if steady is None else steady
         tx, ty, tz = thrust_direction((rx, ry, rz))
         fx = T * tx + dx
         fy = T * ty + dy
@@ -289,7 +318,7 @@ def _rk4_step(T: float, phi_r, surface: SurfaceModel, cfg: PlantConfig):
                          (rz_r - rz4) / tau) if tau > 0.0 else no_lag
 
         h6 = h / 6.0
-        return [px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
+        return (px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
                 py + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
                 pz + h6 * (vz + 2.0 * vz2 + 2.0 * vz3 + vz4),
                 vx + h6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
@@ -297,7 +326,7 @@ def _rk4_step(T: float, phi_r, surface: SurfaceModel, cfg: PlantConfig):
                 vz + h6 * (az1 + 2.0 * az2 + 2.0 * az3 + az4),
                 rx + h6 * (wx1 + 2.0 * wx2 + 2.0 * wx3 + wx4),
                 ry + h6 * (wy1 + 2.0 * wy2 + 2.0 * wy3 + wy4),
-                rz + h6 * (wz1 + 2.0 * wz2 + 2.0 * wz3 + wz4)]
+                rz + h6 * (wz1 + 2.0 * wz2 + 2.0 * wz3 + wz4))
 
     return rk
 
@@ -341,44 +370,43 @@ def _step_with_events(rk, pen, y, t, h, depth=0):
 def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
          cfg: PlantConfig) -> PlantState:
     """Integrate the plant one dt under constant thrust/attitude commands."""
-    phi_r = [float(v) for v in phi_r]
-    if len(phi_r) != 3 or not all(map(math.isfinite, [T, *phi_r])):
+    phi_r = tuple(map(float, phi_r))
+    if len(phi_r) != 3 or not all(map(math.isfinite, (T, *phi_r))):
         raise ValueError("plant inputs must be finite, with three angles")
     if T < 0.0:
         raise ValueError("thrust must be nonnegative")
 
-    bx, by, bz = surface.B_f.tolist()
+    bx, by, bz = surface.B_f_floats
     x_fs = surface.x_fs
 
     def pen(y):
         return bx * y[0] + by * y[1] + bz * y[2] - x_fs
 
-    phi = phi_r if cfg.tau_att == 0.0 else state.phi.tolist()
-    y = state.p_e.tolist() + state.v_e.tolist() + phi
+    no_lag = cfg.tau_att == 0.0
+    y = (*state.p_e, *state.v_e, *(phi_r if no_lag else state.phi))
     y1 = _step_with_events(_rk4_step(T, phi_r, surface, cfg), pen, y,
                            state.t, cfg.dt)
-    if cfg.tau_att == 0.0:
-        y1[6:9] = phi_r
-
-    a = np.array(y1)
-    return PlantState(p_e=a[0:3], v_e=a[3:6], phi=a[6:9],
-                      in_contact=pen(y1) > 0.0, t=state.t + cfg.dt)
+    return _plant_state(y1[0:3], y1[3:6], phi_r if no_lag else y1[6:9],
+                        pen(y1) > 0.0, state.t + cfg.dt)
 
 
 def measure(state: PlantState, surface: SurfaceModel, cfg: PlantConfig,
             rng: np.random.Generator | None = None) -> Measurement:
     """Project the true state onto force/motion coordinates, with sensor noise."""
-    x_f = float(surface.B_f @ state.p_e)
-    x_dot_f = float(surface.B_f @ state.v_e)
-    x_m = surface.B_m.T @ state.p_e
-    x_dot_m = surface.B_m.T @ state.v_e
+    p_e, v_e = np.array(state.p_e), np.array(state.v_e)
+    x_f = float(surface.B_f @ p_e)
+    x_dot_f = float(surface.B_f @ v_e)
+    x_m = tuple((surface.B_m.T @ p_e).tolist())
+    x_dot_m = tuple((surface.B_m.T @ v_e).tolist())
     f_f = contact_force(x_f, x_dot_f, surface)
     n = cfg.noise
-    if rng is not None and n.any():
-        x_f += n.pos * rng.standard_normal()
-        x_dot_f += n.vel * rng.standard_normal()
-        x_m = x_m + n.pos * rng.standard_normal(2)
-        x_dot_m = x_dot_m + n.vel * rng.standard_normal(2)
+    if rng is not None and n._any:
+        pos, vel = n.pos, n.vel
+        x_f += pos * rng.standard_normal()
+        x_dot_f += vel * rng.standard_normal()
+        (x0, x1), (e0, e1) = x_m, rng.standard_normal(2).tolist()
+        x_m = (x0 + pos * e0, x1 + pos * e1)
+        (v0, v1), (e0, e1) = x_dot_m, rng.standard_normal(2).tolist()
+        x_dot_m = (v0 + vel * e0, v1 + vel * e1)
         f_f += n.f_f * rng.standard_normal()
-    return Measurement(x_f=x_f, x_dot_f=x_dot_f, x_m=x_m, x_dot_m=x_dot_m, f_f=f_f)
-
+    return _measurement(x_f, x_dot_f, x_m, x_dot_m, f_f)

@@ -9,17 +9,17 @@ through the estimated surface model so the two stay consistent:
 
     x_fr'' = -(k_hat/b_hat) x_fr' - (1/b_hat) f_fr'
 
-Mode hand-offs keep position/velocity references continuous.
+Mode hand-offs keep position/velocity references continuous. The
+motion-plane references are tuples of two Python floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .estimator import EnvEstimate
+from .plant import as_floats
 
 FREE = "free"
 CONTACT = "contact"
@@ -32,19 +32,36 @@ class ReferenceState:
     x_fr_ddot: float = 0.0
     f_fr: float = 0.0
     f_fr_dot: float = 0.0
-    x_mr: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    x_mr_dot: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    x_mr_ddot: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    x_mr: tuple[float, float] = (0.0, 0.0)
+    x_mr_dot: tuple[float, float] = (0.0, 0.0)
+    x_mr_ddot: tuple[float, float] = (0.0, 0.0)
     mode: str = FREE
 
     def __post_init__(self):
-        self.x_mr = np.asarray(self.x_mr, dtype=float).reshape(2)
-        self.x_mr_dot = np.asarray(self.x_mr_dot, dtype=float).reshape(2)
-        self.x_mr_ddot = np.asarray(self.x_mr_ddot, dtype=float).reshape(2)
+        self.x_mr = as_floats(self.x_mr, 2)
+        self.x_mr_dot = as_floats(self.x_mr_dot, 2)
+        self.x_mr_ddot = as_floats(self.x_mr_ddot, 2)
 
     @classmethod
     def at_rest(cls, x_f: float, x_m) -> "ReferenceState":
-        return cls(x_fr=x_f, x_mr=np.asarray(x_m, dtype=float))
+        return cls(x_fr=x_f, x_mr=x_m)
+
+
+def _reference(x_fr, x_fr_dot, x_fr_ddot, f_fr, f_fr_dot, x_mr, x_mr_dot,
+               x_mr_ddot, mode) -> ReferenceState:
+    """A ReferenceState from values that already have the field types."""
+    r = object.__new__(ReferenceState)
+    r.x_fr, r.x_fr_dot, r.x_fr_ddot, r.f_fr, r.f_fr_dot = (
+        x_fr, x_fr_dot, x_fr_ddot, f_fr, f_fr_dot)
+    r.x_mr, r.x_mr_dot, r.x_mr_ddot, r.mode = x_mr, x_mr_dot, x_mr_ddot, mode
+    return r
+
+
+def _setpoint(x_md) -> tuple[float, float]:
+    x_md = tuple(map(float, x_md))
+    if len(x_md) != 2:
+        raise ValueError("the motion setpoint must have two elements")
+    return x_md
 
 
 def _track(x, v, target, wn: float, dt: float):
@@ -78,13 +95,10 @@ def free_step(ref: ReferenceState, x_fd: float, x_md, omega_n: float,
         raise ValueError("free_step called while not in free mode")
     if omega_n <= 0.0:
         raise ValueError("omega_n must be positive")
-    x_md = np.asarray(x_md, dtype=float).reshape(2).tolist()
-    (xf, *xm), (vf, *vm), (af, *am) = _track(
-        [ref.x_fr] + ref.x_mr.tolist(), [ref.x_fr_dot] + ref.x_mr_dot.tolist(),
-        [x_fd] + x_md, omega_n, dt)
-    return ReferenceState(x_fr=xf, x_fr_dot=vf, x_fr_ddot=af,
-                          f_fr=0.0, f_fr_dot=0.0,
-                          x_mr=xm, x_mr_dot=vm, x_mr_ddot=am, mode=FREE)
+    xs, vs, acc = _track((ref.x_fr, *ref.x_mr), (ref.x_fr_dot, *ref.x_mr_dot),
+                         (x_fd, *_setpoint(x_md)), omega_n, dt)
+    return _reference(xs[0], vs[0], acc[0], 0.0, 0.0, xs[1:], vs[1:], acc[1:],
+                      FREE)
 
 
 def contact_step(ref: ReferenceState, f_fd: float, x_md, est: EnvEstimate,
@@ -126,13 +140,8 @@ def contact_step(ref: ReferenceState, f_fd: float, x_md, est: EnvEstimate,
                        x + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4),
                        v + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
-    x_md = np.asarray(x_md, dtype=float).reshape(2).tolist()
-    xm, vm, am = _track(ref.x_mr.tolist(), ref.x_mr_dot.tolist(), x_md,
-                        omega_n, dt)
-    return ReferenceState(
-        x_fr=x, x_fr_dot=v, x_fr_ddot=-kb * v - inv_b * fd,
-        f_fr=f, f_fr_dot=fd,
-        x_mr=xm, x_mr_dot=vm, x_mr_ddot=am, mode=CONTACT)
+    xm, vm, am = _track(ref.x_mr, ref.x_mr_dot, _setpoint(x_md), omega_n, dt)
+    return _reference(x, v, -kb * v - inv_b * fd, f, fd, xm, vm, am, CONTACT)
 
 
 def switch_mode(ref: ReferenceState, new_mode: str,

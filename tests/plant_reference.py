@@ -90,8 +90,8 @@ def reference_step(state, T: float, phi_r, surface, cfg):
     def pen(y):
         return bx * y[0] + by * y[1] + bz * y[2] - surface.x_fs
 
-    phi = phi_r if cfg.tau_att == 0.0 else state.phi.tolist()
-    y = state.p_e.tolist() + state.v_e.tolist() + phi
+    phi = phi_r if cfg.tau_att == 0.0 else list(state.phi)
+    y = list(state.p_e) + list(state.v_e) + phi
     y1 = plant._step_with_events(rk, pen, y, state.t, cfg.dt)
     if cfg.tau_att == 0.0:
         y1[6:9] = phi_r

@@ -148,8 +148,10 @@ def test_dob_and_motion_law_equal_numpy_forms_bit_for_bit():
 
         ref = ReferenceState(x_mr=draw(rng, 2), x_mr_dot=draw(rng, 2),
                              x_mr_ddot=draw(rng, 2))
-        u = (g.m_bar * ref.x_mr_ddot + g.K_md * (ref.x_mr_dot - x_dot_m)
-             + g.K_mp * (ref.x_mr - x_m) + g.m_bar * g.g_bar * s.B_m[2] - d_m)
+        u = (g.m_bar * np.asarray(ref.x_mr_ddot)
+             + g.K_md * (np.asarray(ref.x_mr_dot) - x_dot_m)
+             + g.K_mp * (np.asarray(ref.x_mr) - x_m)
+             + g.m_bar * g.g_bar * s.B_m[2] - d_m)
         assert list(control_motion(ref, m, d_m, g, s)) == u.tolist()
 
         phi = rng.uniform(-1.2, 1.2, 3)

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
@@ -185,10 +187,56 @@ def test_unknown_preset_raises():
     dict(dist_amp=(math.nan, 0.0, 0.0)), dict(noise_pos=math.inf),
     dict(force_period=0.0), dict(contact_threshold=-0.1), dict(slew_rate=-1.0),
     dict(thrust_ceiling_factor=0.0), dict(sched_period=-0.1),
+    # NaN used to pass every check: these built and ran to the end
+    dict(k_e=math.nan), dict(b_e=math.nan), dict(mu1=math.nan),
+    dict(force_const=math.nan), dict(tau_att=math.nan),
+    # ... these failed at t=0 with a non-finite plant state
+    dict(tilt_deg=math.nan), dict(p_s=(1.0, math.nan, 1.5)),
+    dict(standoff=math.nan),
+    # ... and these failed inside plant.step
+    dict(m_t=math.nan), dict(approach_speed=math.nan), dict(k_p=math.nan),
+    dict(L_f=math.nan), dict(g=math.nan),
+    dict(m_bar=math.nan), dict(yaw_ref=math.inf), dict(slide_speed=-math.inf),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_scenario_validation(bad):
     with pytest.raises(ValueError):
         Scenario(**bad)
+
+
+def test_motion_setpoint_equals_numpy_form_bit_for_bit():
+    # the float slide setpoint keeps the operation order of its numpy form
+    # x_m0 + unit * speed * max(0, t - start)
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        d = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0)
+        sc = Scenario(motion_profile="slide", slide_dir=tuple(d),
+                      slide_speed=rng.uniform(0.0, 2.0),
+                      slide_start=rng.uniform(0.0, 5.0))
+        x_m0 = tuple(rng.normal(size=2).tolist())
+        t = rng.uniform(0.0, 20.0)
+        unit = d / np.linalg.norm(d)
+        expect = np.asarray(x_m0) + unit * sc.slide_speed * max(0.0, t - sc.slide_start)
+        out = sc.motion_setpoint(t, x_m0)
+        assert type(out) is tuple and list(out) == expect.tolist()
+    hold = Scenario(motion_profile="hold")
+    assert hold.motion_setpoint(3.0, (0.25, -1.0)) == (0.25, -1.0)
+
+
+def test_run_steps_plant_through_module_attribute(monkeypatch):
+    # the loop looks plant.step up on the module at every call (the
+    # benchmark's tracer wraps it there), 1000 times per simulated second
+    calls = []
+    step = harness.plantmod.step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(harness.plantmod, "step", counted)
+    sc = tiny_scenario(duration=0.5)
+    log = run(sc)
+    assert len(calls) == round(sc.duration / sc.plant_dt) == 500
+    assert log.n_samples == 251
 
 
 def test_scenario_rejects_unknown_profiles():
@@ -280,3 +328,46 @@ def test_cli_sweep(tmp_path):
     assert rc == 0
     assert (tmp_path / "o" / "s1_log.csv").exists()
     assert (tmp_path / "o" / "experiment1-slow_log.csv").exists()
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    job inline, so the test starts no process."""
+
+    def __init__(self, seen, max_workers=None):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_cli_sweep_workers_bounded_by_scenarios(tmp_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers=None: RecordingPool(seen, max_workers))
+    scns = []
+    for name in ("a", "b"):
+        scns.append(str(tmp_path / f"{name}.json"))
+        tiny_scenario(name=name, duration=0.02).to_json(scns[-1])
+    out = str(tmp_path / "o")
+    for jobs, workers in ((["--jobs", "64"], 2), (["--jobs", "1"], 1),
+                          ([], min(os.cpu_count() or 1, 2))):
+        assert cli.main(["sweep", *scns, "--out", out, *jobs]) == 0
+        assert seen.pop() == workers
+    assert cli.main(["sweep", scns[0], "--out", out]) == 0
+    assert seen.pop() == 1
+    assert (tmp_path / "o" / "b_log.csv").exists()
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", *scns, "--out", out, "--jobs", bad])
+        assert exc.value.code == 2
+    assert seen == []
+    assert "--jobs" in capsys.readouterr().err

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from uamsim.plant import (DisturbanceConfig, MeasurementNoise, PlantConfig,
-                          PlantState, SurfaceModel, contact_force, measure,
-                          rotation, step, thrust_direction)
+from uamsim.plant import (DisturbanceConfig, Measurement, MeasurementNoise,
+                          PlantConfig, PlantState, SurfaceModel, contact_force,
+                          measure, rotation, step, thrust_direction)
 
 from plant_reference import draw, dynamics, reference_step, rk4
 
@@ -224,7 +224,7 @@ def test_step_equals_generic_rk4_bit_for_bit():
         phi_r = draw(rng, 3)
         out = step(st, T, phi_r, s, cfg)
         y1, n_rk4 = reference_step(st, T, phi_r, s, cfg)
-        assert out.p_e.tolist() + out.v_e.tolist() + out.phi.tolist() == y1
+        assert list(out.p_e) + list(out.v_e) + list(out.phi) == y1
         pen1 = float(s.B_f @ out.p_e) - s.x_fs
         assert out.in_contact == (pen1 > 0.0)
         assert out.t == st.t + dt
@@ -268,7 +268,7 @@ def test_step_halving_dt_first_order_endpoint():
         T = cfg.m_t * cfg.g
         for _ in range(round(5.0 / dt)):
             st = step(st, T, np.zeros(3), s, cfg)
-        return st.p_e.copy()
+        return np.array(st.p_e)
 
     e1 = endpoint(2e-3)
     e2 = endpoint(1e-3)
@@ -276,6 +276,49 @@ def test_step_halving_dt_first_order_endpoint():
     d12 = np.linalg.norm(e1 - e2)
     d23 = np.linalg.norm(e2 - e3)
     assert d23 < 0.75 * d12 + 1e-12
+
+
+def is_float_tuple(v, n):
+    return type(v) is tuple and len(v) == n and all(type(x) is float for x in v)
+
+
+def test_step_and_measure_give_float_tuples():
+    # the state and measurement vectors stay tuples of Python floats through
+    # free flight, contact and sensor noise, with and without attitude lag
+    s = vertical_surface()
+    for tau in (0.0, 0.02):
+        cfg = PlantConfig(tau_att=tau, noise=MeasurementNoise(pos=1e-3, vel=1e-2,
+                                                              f_f=0.1))
+        st = PlantState(p_e=np.array([0.9, 0.0, 1.5]), v_e=[0.5, 0.0, 0.0],
+                        phi=np.zeros(3))
+        rng = np.random.default_rng(3)
+        contact = []
+        for _ in range(300):
+            st = step(st, cfg.m_t * cfg.g, np.array([0.01, -0.02, 0.0]), s, cfg)
+            assert all(is_float_tuple(v, 3) for v in (st.p_e, st.v_e, st.phi))
+            contact.append(st.in_contact)
+            for m in (measure(st, s, cfg), measure(st, s, cfg, rng)):
+                assert is_float_tuple(m.x_m, 2) and is_float_tuple(m.x_dot_m, 2)
+                assert all(type(v) is float for v in (m.x_f, m.x_dot_f, m.f_f))
+        assert any(contact) and not all(contact)
+
+
+def test_state_and_measurement_constructors_convert_and_check_length():
+    st = PlantState(p_e=np.array([1.0, 2.0, 3.0]), v_e=[0, 1, 2],
+                    phi=np.zeros((3, 1)))
+    assert st.p_e == (1.0, 2.0, 3.0) and is_float_tuple(st.p_e, 3)
+    assert is_float_tuple(st.v_e, 3) and is_float_tuple(st.phi, 3)
+    m = Measurement(x_f=0.0, x_dot_f=0.0, x_m=np.array([1.0, 2.0]),
+                    x_dot_m=[3, 4], f_f=0.0)
+    assert m.x_m == (1.0, 2.0) and is_float_tuple(m.x_dot_m, 2)
+    for bad in (dict(p_e=(1.0, 2.0)), dict(v_e=np.zeros(4)), dict(phi=[])):
+        with pytest.raises(ValueError):
+            PlantState(**(dict(p_e=np.zeros(3), v_e=np.zeros(3),
+                               phi=np.zeros(3)) | bad))
+    for bad in (dict(x_m=np.zeros(3)), dict(x_dot_m=(1.0,))):
+        with pytest.raises(ValueError):
+            Measurement(**(dict(x_f=0.0, x_dot_f=0.0, x_m=(0.0, 0.0),
+                                x_dot_m=(0.0, 0.0), f_f=0.0) | bad))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +337,17 @@ def test_surface_rejects_bad_basis():
     with pytest.raises(ValueError):
         SurfaceModel(B_f=[1.0, 0.0, 0.0],
                      B_m=[[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+                     p_s=[0.0, 0.0, 0.0])
+
+
+def test_surface_rejects_nan_parameters_and_basis():
+    # NaN fails every comparison, so the checks are written to fail on it
+    for kw in (dict(k_e=math.nan), dict(b_e=math.nan)):
+        with pytest.raises(ValueError):
+            SurfaceModel.from_tilt(0.0, **kw)
+    with pytest.raises(ValueError):
+        SurfaceModel(B_f=[math.nan, 0.0, 0.0],
+                     B_m=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                      p_s=[0.0, 0.0, 0.0])
 
 

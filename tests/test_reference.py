@@ -131,9 +131,9 @@ def test_free_step_equals_generic_rk4_bit_for_bit():
         ref = ReferenceState(x_fr=x[0], x_fr_dot=v[0], x_mr=x[1:], x_mr_dot=v[1:])
         out = free_step(ref, target[0], target[1:], wn, DT)
         xs, vs, acc = generic_track(x, v, target, wn, DT)
-        assert [out.x_fr, *out.x_mr.tolist()] == xs
-        assert [out.x_fr_dot, *out.x_mr_dot.tolist()] == vs
-        assert [out.x_fr_ddot, *out.x_mr_ddot.tolist()] == acc
+        assert [out.x_fr, *out.x_mr] == xs
+        assert [out.x_fr_dot, *out.x_mr_dot] == vs
+        assert [out.x_fr_ddot, *out.x_mr_ddot] == acc
 
 
 def test_contact_step_equals_generic_rk4_bit_for_bit():
@@ -169,9 +169,34 @@ def test_contact_step_equals_generic_rk4_bit_for_bit():
                 y = rk4(deriv, 0.0, y, DT / m)
             assert [out.f_fr, out.f_fr_dot, out.x_fr, out.x_fr_dot] == y
             assert out.x_fr_ddot == -kb * y[3] - inv_b * y[1]
-            assert [out.x_mr.tolist(), out.x_mr_dot.tolist(),
-                    out.x_mr_ddot.tolist()] == list(generic_track(xm, vm, x_md, wn, DT))
+            assert [list(out.x_mr), list(out.x_mr_dot),
+                    list(out.x_mr_ddot)] == list(generic_track(xm, vm, x_md, wn, DT))
     assert seen == set(range(1, 11))
+
+
+def test_steps_give_float_tuples_and_check_setpoint_length():
+    # the motion-plane references are tuples of two Python floats; the
+    # constructor converts arrays, and every entry point rejects other sizes
+    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
+    ref = ReferenceState(x_fr=0.3, x_mr=np.array([0.1, -0.2]), x_mr_dot=[1, 2])
+    assert ref.x_mr == (0.1, -0.2) and ref.x_mr_dot == (1.0, 2.0)
+    assert ref.x_mr_ddot == (0.0, 0.0)
+    contact = switch_mode(ref, CONTACT, -1.0)
+    for out in (free_step(ref, 0.5, np.array([0.2, 0.1]), 10.0, DT),
+                contact_step(contact, -2.0, [0.2, 0.1], est, 10.0, DT), contact):
+        for v in (out.x_mr, out.x_mr_dot, out.x_mr_ddot):
+            assert type(v) is tuple and len(v) == 2
+            assert all(type(x) is float for x in v)
+    with pytest.raises(ValueError):
+        free_step(ref, 0.5, (0.2, 0.1, 0.0), 10.0, DT)
+    with pytest.raises(ValueError):
+        contact_step(contact, -2.0, np.zeros(3), est, 10.0, DT)
+    for bad in (dict(x_mr=(1.0,)), dict(x_mr_dot=np.zeros(3)),
+                dict(x_mr_ddot=[1.0, 2.0, 3.0])):
+        with pytest.raises(ValueError):
+            ReferenceState(**bad)
+    with pytest.raises(ValueError):
+        ReferenceState.at_rest(0.0, (0.0, 0.0, 0.0))
 
 
 def test_switch_modes_continuous_and_round_trip():
