@@ -94,9 +94,9 @@ class GainBox:
     b_f_max: float = 40.0
 
     def __post_init__(self):
-        if not (0.0 < self.k_f_min <= self.k_f_max):
+        if not (0.0 < self.k_f_min <= self.k_f_max < math.inf):
             raise ValueError("invalid k_f limits")
-        if not (0.0 < self.b_f_min <= self.b_f_max):
+        if not (0.0 < self.b_f_min <= self.b_f_max < math.inf):
             raise ValueError("invalid b_f limits")
 
     @property
@@ -242,8 +242,11 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
     infeasible). The polygon never certifies a gain pair that violates the
     raw inequalities.
     """
-    if min(k_p, k_d, k_e, b_e, m_t) <= 0.0:
-        raise ValueError("parameters must be positive")
+    inf = math.inf
+    if not (0.0 < k_p < inf and 0.0 < k_d < inf and 0.0 < k_e < inf
+            and 0.0 < b_e < inf and 0.0 < m_t < inf):
+        finite = all(map(math.isfinite, (k_p, k_d, k_e, b_e, m_t)))
+        raise ValueError(f"parameters must be {'positive' if finite else 'finite'}")
     if cond_id not in _CONDITIONS:
         raise ValueError(f"unknown condition {cond_id!r}")
 
@@ -334,14 +337,15 @@ def region_grid(cond_id: str, k_p: float, k_d: float, k_e: float, b_e: float,
 # finite-switching contraction
 # ---------------------------------------------------------------------------
 
-def _lambda_mode(K: float, B: float, dK: float, dB: float, i: int) -> float:
+def _lambda_mode(K: float, B: float, dK: float, dB: float, L: float,
+                 i: int) -> float:
     """Contraction factor of one mode's arc of the switching cycle.
 
     Matches the amplitude ratio of the mode-i trajectory between the
     mode-difference line {dK*z1 + dB*z2 = 0} and the turning line {z2 = 0}
-    (trajectory-oracle semantics; exercised in the test suite).
+    (trajectory-oracle semantics; exercised in the test suite). L is
+    hypot(dK, dB), shared by the two arcs of a cycle.
     """
-    L = math.hypot(dK, dB)
     sgn = -1.0 if i == 1 else 1.0
     disc = B * B - 4.0 * K
 
@@ -369,13 +373,21 @@ def _lambda_mode(K: float, B: float, dK: float, dB: float, i: int) -> float:
     try:
         return (x_b ** (sgn * la / (lb - la))) * (x_a ** (sgn * lb / (la - lb)))
     except OverflowError:
-        # near-critical damping: the exponents overflow though the product is
-        # finite. Only here use the log form, whose last bits differ.
-        try:
-            return math.exp(sgn * (la * math.log(x_b) - lb * math.log(x_a))
-                            / (lb - la))
-        except OverflowError:
-            return math.inf
+        return _real_root_log(x_b, x_a, sgn, la, lb)
+
+
+def _real_root_log(x_b: float, x_a: float, sgn: float, la: float,
+                   lb: float) -> float:
+    """The real-root arc in log form, where its power form overflows.
+
+    Near critical damping the exponents overflow though the product is
+    finite. Only there use the log form, whose last bits differ.
+    """
+    try:
+        return math.exp(sgn * (la * math.log(x_b) - lb * math.log(x_a))
+                        / (lb - la))
+    except OverflowError:
+        return math.inf
 
 
 def lambda_pair(sp: SwitchedParams) -> tuple[float, float, float]:
@@ -386,10 +398,11 @@ def lambda_pair(sp: SwitchedParams) -> tuple[float, float, float]:
     """
     dK = sp.K1 - sp.K2
     dB = sp.B1 - sp.B2
-    if math.hypot(dK, dB) == 0.0:
+    L = math.hypot(dK, dB)
+    if L == 0.0:
         raise DegenerateDirection("identical free/contact modes")
-    l1 = _lambda_mode(sp.K1, sp.B1, dK, dB, 1)
-    l2 = _lambda_mode(sp.K2, sp.B2, dK, dB, 2)
+    l1 = _lambda_mode(sp.K1, sp.B1, dK, dB, L, 1)
+    l2 = _lambda_mode(sp.K2, sp.B2, dK, dB, L, 2)
     return l1, l2, l1 * l2
 
 
@@ -397,35 +410,89 @@ def lambda_pair(sp: SwitchedParams) -> tuple[float, float, float]:
 # cost and pattern search
 # ---------------------------------------------------------------------------
 
-def j_cost(k_f: float, b_f: float, k_p: float, k_d: float, k_e: float,
-           b_e: float, m_t: float, box: GainBox) -> float:
-    """Finite-switching contraction plus box-centering penalties.
+def _j_evaluator(k_p: float, k_d: float, k_e: float, b_e: float, m_t: float,
+                box: GainBox):
+    """J(k_f, b_f) of one search, with what is fixed for the call computed once.
 
     J = Lambda1*Lambda2 + (2/w_k)^2 (k_f - mid_k)^2 + (2/w_b)^2 (b_f - mid_b)^2,
-    with the product taken as 1 when the two modes are identical. The mode
-    parameters are those of switched_params, and a nonpositive one raises
-    ValueError as it does there.
+    with the product taken as 1 when the two modes are identical. A
+    nonpositive mode parameter raises ValueError, as in switched_params. The
+    free mode's arc hoists only left-most sub-products of _lambda_mode's
+    expressions, so J is lambda_pair's product plus the penalties to the bit.
     """
     K1 = k_p / m_t
     B1 = k_d / m_t
-    K2 = (1.0 + k_f) * k_e / m_t
-    B2 = ((1.0 + k_f) * b_e + b_f) / m_t
-    if min(K1, B1, K2, B2) <= 0.0:
+    lo = min(K1, B1)
+    if lo <= 0.0:
         raise ValueError("switched-system parameters must be positive")
-    dK = K1 - K2
-    dB = B1 - B2
-    if dK == 0.0 and dB == 0.0:
-        J = 1.0
-    else:
-        J = _lambda_mode(K1, B1, dK, dB, 1) * _lambda_mode(K2, B2, dK, dB, 2)
     k_lo, k_hi, b_lo, b_hi = box.k_f_min, box.k_f_max, box.b_f_min, box.b_f_max
     wk = k_hi - k_lo
     wb = b_hi - b_lo
-    if wk > 0.0:
-        J += (2.0 / wk) ** 2 * (k_f - 0.5 * (k_lo + k_hi)) ** 2
-    if wb > 0.0:
-        J += (2.0 / wb) ** 2 * (b_f - 0.5 * (b_lo + b_hi)) ** 2
-    return J
+    ck = (2.0 / wk) ** 2 if wk > 0.0 else 0.0
+    cb = (2.0 / wb) ** 2 if wb > 0.0 else 0.0
+    mk = 0.5 * (k_lo + k_hi)
+    mb = 0.5 * (b_lo + b_hi)
+    hypot, sqrt, atan2, exp, pi = math.hypot, math.sqrt, math.atan2, math.exp, math.pi
+    arc, inf = _lambda_mode, math.inf
+
+    # the free mode's arc (i = 1, sgn = -1) in _lambda_mode's branches
+    disc = B1 * B1 - 4.0 * K1
+    if abs(disc) <= _REPEATED_ROOT_RTOL * 4.0 * K1:
+        free = 0                                 # repeated root: generic arc
+    elif disc < 0.0:
+        free = 1
+        w = 0.5 * sqrt(-disc)
+        K_w, K1_2, s2w, w4 = K1 / w, 2.0 * K1, -1.0 * 2.0 * w, 4.0 * w * w
+        decay = -(B1 / (2.0 * w))
+    else:
+        free = 2
+        r = sqrt(disc)
+        la = 0.5 * (-B1 - r)
+        lb = 0.5 * (-B1 + r)
+        e_b, e_a = -1.0 * la / (lb - la), -1.0 * lb / (la - lb)
+
+    def cost(k_f: float, b_f: float) -> float:
+        K2 = (1.0 + k_f) * k_e / m_t
+        B2 = ((1.0 + k_f) * b_e + b_f) / m_t
+        if (K2 <= 0.0 or B2 <= 0.0) and lo == lo:   # min(K1, B1, K2, B2) <= 0
+            raise ValueError("switched-system parameters must be positive")
+        dK = K1 - K2
+        dB = B1 - B2
+        L = hypot(dK, dB)
+        if L == 0.0:
+            J = 1.0
+        else:
+            if free == 1:
+                Q = B1 * dK - K1_2 * dB
+                phi = (-atan2(s2w * dK, Q)) % pi
+                br = K_w / sqrt(dK * dK / L ** 2 + Q * Q / (w4 * L * L))
+                l1 = (br ** -1.0) * exp(decay * phi)
+            elif free == 2:
+                x_b = abs((dK * lb + K1 * dB) / (K1 * L))
+                x_a = abs((dK * la + K1 * dB) / (K1 * L))
+                if x_b == 0.0 or x_a == 0.0:
+                    l1 = inf
+                else:
+                    try:
+                        l1 = (x_b ** e_b) * (x_a ** e_a)
+                    except OverflowError:
+                        l1 = _real_root_log(x_b, x_a, -1.0, la, lb)
+            else:
+                l1 = arc(K1, B1, dK, dB, L, 1)
+            J = l1 * arc(K2, B2, dK, dB, L, 2)
+        if wk > 0.0:
+            J += ck * (k_f - mk) ** 2
+        if wb > 0.0:
+            J += cb * (b_f - mb) ** 2
+        return J
+
+    return cost
+
+
+def j_cost(k_f: float, b_f: float, k_p: float, k_d: float, k_e: float,
+           b_e: float, m_t: float, box: GainBox) -> float:
+    """J at one gain pair: the cost of _j_evaluator, evaluated once."""
+    return _j_evaluator(k_p, k_d, k_e, b_e, m_t, box)(k_f, b_f)
 
 
 def pattern_search_J(k_p: float, k_d: float, k_e: float, b_e: float,
@@ -438,8 +505,7 @@ def pattern_search_J(k_p: float, k_d: float, k_e: float, b_e: float,
     over the supplied seeds (default: box midpoint plus the four corners).
     """
     if cost is None:
-        def cost(k, b):
-            return j_cost(k, b, k_p, k_d, k_e, b_e, m_t, box)
+        cost = _j_evaluator(k_p, k_d, k_e, b_e, m_t, box)
     if seeds is None:
         seeds = [box.mid] + box.corners()
     k_lo, k_hi, b_lo, b_hi = box.k_f_min, box.k_f_max, box.b_f_min, box.b_f_max
@@ -509,7 +575,11 @@ class ScheduleResult:
 
 def schedule(k_p: float, k_d: float, k_e_hat: float, b_e_hat: float,
              m_bar: float, box: GainBox) -> ScheduleResult:
-    """Pick force-controller gains for the current environment estimates."""
+    """Pick force-controller gains for the current environment estimates.
+
+    Raises ValueError, through region_explicit, when a gain or an estimate
+    is not finite or not positive.
+    """
     regions = [region_explicit(c, k_p, k_d, k_e_hat, b_e_hat, m_bar, box)
                for c in _CONDITIONS]
     nonempty = [r for r in regions if not r.empty]

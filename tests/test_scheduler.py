@@ -337,7 +337,7 @@ def reference_j(k_f, b_f, k_p, k_d, k_e, b_e, m_t, box):
     return J
 
 
-def test_j_cost_equals_switched_params_and_lambda_pair_bit_for_bit():
+def test_j_cost_equals_switched_params_and_lambda_pair_bit_for_bit(monkeypatch):
     rng = np.random.default_rng(14)
     for i in range(3000):
         k_lo, b_lo = rng.uniform(0.05, 1.0), rng.uniform(5.0, 30.0)
@@ -348,6 +348,41 @@ def test_j_cost_equals_switched_params_and_lambda_pair_bit_for_bit():
                 rng.uniform(1.0, 60.0), rng.uniform(1.0, 40.0), rng.uniform(10.0, 600.0),
                 rng.uniform(0.05, 1.5), rng.uniform(2.0, 6.0), box)
         assert j_cost(*args) == reference_j(*args)
+    # free modes at critical damping (k_d**2 == 4*m_t*k_p exactly), and
+    # within 1e-12..1e-4 of it on both sides of the repeated-root tolerance
+    # (1e-9), where the real-root power form overflows into the log form
+    logs = []
+
+    def counted_log(x_b, x_a, sgn, la, lb):
+        logs.append(sgn)
+        return real_root_log(x_b, x_a, sgn, la, lb)
+
+    real_root_log = sched._real_root_log
+    monkeypatch.setattr(sched, "_real_root_log", counted_log)
+    exact = near = 0
+    for i in range(3000):
+        if i % 4 == 0:
+            m_t, k_d = rng.choice((2.0, 4.0)), 2.0 * rng.integers(1, 20)
+            k_p = k_d ** 2 / (4.0 * m_t)
+            assert k_d ** 2 == 4.0 * m_t * k_p
+            exact += 1
+        else:
+            m_t, k_p = rng.uniform(2.0, 6.0), rng.uniform(1.0, 60.0)
+            rel = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -4.0)
+            k_d = math.sqrt(4.0 * m_t * k_p * (1.0 + rel))
+            near += abs(rel) > 1e-9
+        args = (rng.uniform(0.1, 1.0), rng.uniform(10.0, 40.0), k_p, k_d,
+                rng.uniform(10.0, 600.0), rng.uniform(0.05, 1.5), m_t, BOX)
+        assert j_cost(*args) == reference_j(*args)
+    assert exact == 750 and 1000 < near < 2250
+    assert logs.count(-1.0) > 100        # the free mode's log form was taken
+    # NaN in any input gives NaN, with or without a nonpositive contact mode
+    for k in range(7):
+        args = [0.5, 20.0, 23.5, 19.5, 200.0, 0.5, 4.0, BOX]
+        args[k] = math.nan
+        assert math.isnan(j_cost(*args)) and math.isnan(reference_j(*args))
+    args = (-2.0, 20.0, math.nan, 19.5, 200.0, 0.5, 4.0, BOX)      # K1 NaN, K2 < 0
+    assert math.isnan(j_cost(*args)) and math.isnan(reference_j(*args))
     # identical modes: the product counts as 1
     box = GainBox(0.1, 0.9, 0.5, 1.5)
     args = (0.5, 1.0, 3.0, 4.0, 2.0, 2.0, 1.7, box)     # K1 = K2, B1 = B2
@@ -359,7 +394,8 @@ def test_j_cost_equals_switched_params_and_lambda_pair_bit_for_bit():
     for bad in ((0.5, 20.0, -1.0, 19.5, 200.0, 0.5, 4.0, BOX),
                 (0.5, 20.0, 23.5, 0.0, 200.0, 0.5, 4.0, BOX),
                 (0.5, 20.0, 23.5, 19.5, -200.0, 0.5, 4.0, BOX),
-                (0.5, -30.0, 23.5, 19.5, 200.0, 0.5, 4.0, BOX)):
+                (0.5, -30.0, 23.5, 19.5, 200.0, 0.5, 4.0, BOX),
+                (-2.0, 20.0, 23.5, math.nan, 200.0, 0.5, 4.0, BOX)):   # B1 NaN, K2 < 0
         with pytest.raises(ValueError):
             reference_j(*bad)
         with pytest.raises(ValueError):
@@ -388,6 +424,20 @@ def test_schedule_fallback_on_nonfinite_search(monkeypatch):
     assert res.k_f == pytest.approx(0.1)
     assert res.b_f == pytest.approx(19.5)
     assert res.prod is None and not res.certified
+    # non-finite gains, estimates or box limits are rejected, not searched
+    for i in range(5):
+        for value in (math.nan, math.inf, -math.inf):
+            bad = [23.5, 19.5, 200.0, 0.5, 4.2]      # k_p, k_d, k_e_hat, b_e_hat, m_bar
+            bad[i] = value
+            with pytest.raises(ValueError, match="finite"):
+                schedule(*bad, GainBox())
+            with pytest.raises(ValueError, match="finite"):
+                region_explicit(NS2, *bad, GainBox())
+    with pytest.raises(ValueError, match="positive"):
+        schedule(23.5, 0.0, 200.0, 0.5, 4.2, GainBox())
+    for limits in ((0.1, math.inf, 10.0, 40.0), (0.1, 1.0, 10.0, math.inf)):
+        with pytest.raises(ValueError, match="limits"):
+            GainBox(*limits)
 
 
 def test_schedule_centroid_certified_when_ns_nonempty():

@@ -7,20 +7,27 @@ BENCHMARK.json declares, once with --trace 0 for the end-to-end metrics and
 once with --trace 1 for the per-layer metrics, for BENCHMARK.json's
 run_seconds each. Every run uses seed 901, so that records compare with each
 other. The record also holds the machine (platform, Python version, CPU
-count), `git describe` and the behaviour fingerprint printed by
-tools/log_hashes.py. Every run must report "correct": true.
+count), `git describe`, the behaviour fingerprint printed by
+tools/log_hashes.py, and the wall time and passed/failed counts of one run
+of the tier-1 tests (`python -m pytest -q --continue-on-collection-errors`
+with src/ on PYTHONPATH). Exits nonzero, without writing the record, if a
+benchmark run is not correct or reports a failed operation, or if a test
+fails.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 901
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def bench(workload: str, seconds: float, trace: int) -> dict:
@@ -29,9 +36,31 @@ def bench(workload: str, seconds: float, trace: int) -> dict:
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
                           check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    if not result["correct"]:
-        sys.exit(f"{' '.join(cmd)}: outputs failed their checks\n{proc.stderr}")
+    if not result["correct"] or result["failed"]:
+        sys.exit(f"{' '.join(cmd)}: correct={result['correct']} "
+                 f"failed={result['failed']}\n{proc.stderr}")
     return result
+
+
+def tier1() -> dict:
+    """Runs the tier-1 tests once; their wall time and passed/failed counts."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    t0 = perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    wall_s = perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else ""
+    counts = {kind: int(n) for n, kind in
+              re.findall(r"(\d+) (passed|failed|errors?)\b", summary)}
+    passed = counts.pop("passed", 0)
+    failed = sum(counts.values())                   # failed, error or errors
+    if proc.returncode != 0 or failed or not passed:
+        sys.exit(f"tier-1 tests exited {proc.returncode}: {summary}\n{proc.stderr}")
+    print(f"tier-1: {passed} passed in {wall_s:.1f} s", flush=True)
+    return {"command": "PYTHONPATH=src python " + " ".join(TIER1),
+            "wall_s": round(wall_s, 2), "passed": passed, "failed": failed}
 
 
 def git_describe() -> str:
@@ -54,6 +83,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
+    tests = tier1()
     workloads = {}
     for w in spec["workloads"]:
         name = w["name"]
@@ -77,6 +107,7 @@ def main(argv=None) -> int:
                     "python": platform.python_version(),
                     "cpu_count": os.cpu_count()},
         "log_hashes": log_hashes(),
+        "tier1": tests,
         "workloads": workloads,
     }
     out = ROOT / f"BENCH_{args.tag}.json"
