@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,12 +128,16 @@ def control_motion(ref: ReferenceState, meas: Measurement, delta_m_hat,
 
 def compose_u(u_bar_f: float, u_bar_m, surface: SurfaceModel) -> np.ndarray:
     """Recombine force/motion inputs into the inertial desired input."""
-    return u_bar_f * surface.B_f + surface.B_m @ u_bar_m
+    return u_bar_f * surface.B_f + surface.B_m.dot(u_bar_m)
 
 
+@lru_cache(maxsize=16)
 def _psi(yaw: float) -> np.ndarray:
+    """The yaw-aligned extraction matrix, shared between calls: read-only."""
     c, s = math.cos(yaw), math.sin(yaw)
-    return np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, 1.0]])
+    psi = np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, 1.0]])
+    psi.flags.writeable = False
+    return psi
 
 
 def extract_inputs(u_bar_e, phi) -> tuple[float, float, float]:
@@ -145,7 +150,7 @@ def extract_inputs(u_bar_e, phi) -> tuple[float, float, float]:
     phi_x, phi_y, phi_z = phi
     if abs(phi_x) >= 0.5 * math.pi or abs(phi_y) >= 0.5 * math.pi:
         raise InfeasibleInput("roll/pitch at extraction singularity")
-    a_x, a_y, a_z = (_psi(phi_z) @ u_bar_e).tolist()
+    a_x, a_y, a_z = _psi(phi_z).dot(u_bar_e).tolist()
     if a_z <= 0.0:
         raise InfeasibleInput("desired input has no upward component")
     T = a_z / (math.cos(phi_x) * math.cos(phi_y))
@@ -167,7 +172,7 @@ def invert_inputs(u_bar_e, yaw: float) -> tuple[float, float, float]:
     extraction converges to this solution.
     """
     u = np.asarray(u_bar_e, dtype=float).reshape(3)
-    a = _psi(yaw) @ u
+    a = _psi(yaw).dot(u)
     T = float(np.linalg.norm(a))
     if T <= 0.0 or a[2] <= 0.0:
         raise InfeasibleInput("desired input has no upward component")

@@ -57,10 +57,6 @@ def _lambda_max(a: float, b: float, c: float) -> float:
     return h + r
 
 
-def _lambda_max_2x2(P: np.ndarray) -> float:
-    return _lambda_max(P[0, 0], P[0, 1], P[1, 1])
-
-
 def rlse_update(est: EnvEstimate, x_f: float, x_dot_f: float, f_f: float,
                 x_fs: float, cfg: RlseConfig, dt: float) -> EnvEstimate:
     """One estimator step; call only while in contact.
@@ -78,8 +74,8 @@ def rlse_update(est: EnvEstimate, x_f: float, x_dot_f: float, f_f: float,
     Y = np.array([-(x_f - x_fs), -x_dot_f])           # 1x2 regressor
 
     # BLAS rounds the two products; the elementwise rest is scalar
-    py0, py1 = (est.P @ Y).tolist()
-    eps = f_f - float(Y @ np.array([est.k_hat, est.b_hat]))
+    py0, py1 = est.P.dot(Y).tolist()
+    eps = f_f - float(Y.dot(np.array([est.k_hat, est.b_hat])))
 
     # P + dt (mu1 P - mu2 PY PY^T), then symmetrized as 0.5 (P + P^T)
     (p00, p01), (p10, p11) = est.P.tolist()
@@ -93,11 +89,12 @@ def rlse_update(est: EnvEstimate, x_f: float, x_dot_f: float, f_f: float,
     else:
         P_new = np.array([[d0, off], [off, d1]])
 
-    return EnvEstimate(
-        k_hat=min(max(est.k_hat + dt * py0 * eps, cfg.k_min), cfg.k_max),
-        b_hat=min(max(est.b_hat + dt * py1 * eps, cfg.b_min), cfg.b_max),
-        P=P_new,
-    )
+    # P_new is already a 2x2 float array: skip __post_init__'s conversion
+    out = object.__new__(EnvEstimate)
+    out.k_hat = min(max(est.k_hat + dt * py0 * eps, cfg.k_min), cfg.k_max)
+    out.b_hat = min(max(est.b_hat + dt * py1 * eps, cfg.b_min), cfg.b_max)
+    out.P = P_new
+    return out
 
 
 @dataclass

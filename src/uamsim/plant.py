@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import cos, sin
 
 import numpy as np
-
-E3 = np.array([0.0, 0.0, 1.0])
 
 
 def as_floats(v, n: int) -> tuple:
@@ -61,6 +60,8 @@ class SurfaceModel:
         self.x_fs = float(self.B_f @ self.p_s)
         self.B_f_floats = tuple(self.B_f.tolist())
         self.B_m_z = tuple(self.B_m[2].tolist())
+        # the plant step's surface constants: k_e, b_e, x_fs, B_f
+        self._consts = (self.k_e, self.b_e, self.x_fs, *self.B_f_floats)
 
     def validate_basis(self, tol: float = 1e-12) -> None:
         """Check [B_f B_m] is orthonormal to within tol."""
@@ -152,6 +153,10 @@ class PlantConfig:
             raise ValueError("dt must be positive")
         if self.tau_att < 0.0:
             raise ValueError("tau_att must be nonnegative")
+        # the plant step's constants: m_t, m_t g and the disturbance terms
+        d = self.disturbance
+        self._consts = (self.m_t, self.m_t * self.g, d, d.tangential_friction,
+                        d._steady)
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +209,8 @@ def _measurement(x_f, x_dot_f, x_m, x_dot_m, f_f) -> Measurement:
 # kinematics helpers
 # ---------------------------------------------------------------------------
 
-def rotation(phi) -> np.ndarray:
-    """Body-to-inertial rotation for ZYX Euler angles (roll, pitch, yaw)."""
-    rx, ry, rz = float(phi[0]), float(phi[1]), float(phi[2])
-    cx, sx = math.cos(rx), math.sin(rx)
-    cy, sy = math.cos(ry), math.sin(ry)
-    cz, sz = math.cos(rz), math.sin(rz)
-    return np.array([
-        [cz * cy, cz * sy * sx - sz * cx, cz * sy * cx + sz * sx],
-        [sz * cy, sz * sy * sx + cz * cx, sz * sy * cx - cz * sx],
-        [-sy, cy * sx, cy * cx],
-    ])
-
-
 def thrust_direction(phi) -> tuple[float, float, float]:
-    """R(phi) e3 without building the full matrix (hot path)."""
+    """R(phi) e3 without building the full matrix."""
     rx, ry, rz = float(phi[0]), float(phi[1]), float(phi[2])
     cx, sx = math.cos(rx), math.sin(rx)
     cy, sy = math.cos(ry), math.sin(ry)
@@ -242,40 +234,35 @@ def contact_force(x_f: float, x_dot_f: float, surface: SurfaceModel) -> float:
     return -surface.k_e * pen - surface.b_e * x_dot_f
 
 
-def _acceleration(T: float, surface: SurfaceModel, cfg: PlantConfig):
-    """The plant's v' = a(t, p_e, v_e, phi) under a fixed thrust, in floats."""
-    m, mg = cfg.m_t, cfg.m_t * cfg.g
-    k_e, b_e, x_fs = surface.k_e, surface.b_e, surface.x_fs
-    bx, by, bz = surface.B_f_floats
-    dist = cfg.disturbance
-    fric = dist.tangential_friction
-    steady = dist._steady
+def _acceleration(t, px, py, pz, vx, vy, vz, rx, ry, rz, T, sc, cc):
+    """The plant's v' = a(t, p_e, v_e, phi) under thrust T, in floats, from
+    the _consts of the surface (sc) and the plant configuration (cc)."""
+    k_e, b_e, x_fs, bx, by, bz = sc
+    m, mg, dist, fric, steady = cc
+    dx, dy, dz = dist.force(t).tolist() if steady is None else steady
+    cx, sx = cos(rx), sin(rx)
+    cy, sy = cos(ry), sin(ry)
+    cz, sz = cos(rz), sin(rz)
+    fx = T * (cz * sy * cx + sz * sx) + dx     # T * thrust_direction, inlined
+    fy = T * (sz * sy * cx - cz * sx) + dy
+    fz = T * (cx * cy) + dz - mg
 
-    def a(t, px, py, pz, vx, vy, vz, rx, ry, rz):
-        dx, dy, dz = dist.force(t).tolist() if steady is None else steady
-        tx, ty, tz = thrust_direction((rx, ry, rz))
-        fx = T * tx + dx
-        fy = T * ty + dy
-        fz = T * tz + dz - mg
-
-        pen = bx * px + by * py + bz * pz - x_fs
-        if pen > 0.0:
-            x_dot_f = bx * vx + by * vy + bz * vz
-            fn = -k_e * pen - b_e * x_dot_f
-            fx += fn * bx
-            fy += fn * by
-            fz += fn * bz
-            if fric > 0.0:
-                # viscous tangential friction: -c * B_m B_m^T v_e
-                fx -= fric * (vx - x_dot_f * bx)
-                fy -= fric * (vy - x_dot_f * by)
-                fz -= fric * (vz - x_dot_f * bz)
-        return fx / m, fy / m, fz / m
-
-    return a
+    pen = bx * px + by * py + bz * pz - x_fs
+    if pen > 0.0:
+        x_dot_f = bx * vx + by * vy + bz * vz
+        fn = -k_e * pen - b_e * x_dot_f
+        fx += fn * bx
+        fy += fn * by
+        fz += fn * bz
+        if fric > 0.0:
+            # viscous tangential friction: -c * B_m B_m^T v_e
+            fx -= fric * (vx - x_dot_f * bx)
+            fy -= fric * (vy - x_dot_f * by)
+            fz -= fric * (vz - x_dot_f * bz)
+    return fx / m, fy / m, fz / m
 
 
-def _rk4_step(T: float, phi_r, surface: SurfaceModel, cfg: PlantConfig):
+def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
     """One classical RK4 step y(t) -> y(t + h) of the plant, y = p_e + v_e + phi.
 
     The state is nine floats and the step is unrolled per state, with the
@@ -284,62 +271,66 @@ def _rk4_step(T: float, phi_r, surface: SurfaceModel, cfg: PlantConfig):
     same to the last bit. The attitude follows phi' = (phi_r - phi)/tau_att,
     or phi' = 0 when there is no lag.
     """
-    acc = _acceleration(T, surface, cfg)
-    tau = cfg.tau_att
+    sc, cc, tau = surface._consts, cfg._consts, cfg.tau_att
+    acc = _acceleration
     rx_r, ry_r, rz_r = phi_r
     no_lag = (0.0, 0.0, 0.0)
+    px, py, pz, vx, vy, vz, rx, ry, rz = y
+    h2 = 0.5 * h
+    ax1, ay1, az1 = acc(t, px, py, pz, vx, vy, vz, rx, ry, rz, T, sc, cc)
+    wx1, wy1, wz1 = ((rx_r - rx) / tau, (ry_r - ry) / tau,
+                     (rz_r - rz) / tau) if tau > 0.0 else no_lag
 
-    def rk(t, y, h):
-        px, py, pz, vx, vy, vz, rx, ry, rz = y
-        h2 = 0.5 * h
-        ax1, ay1, az1 = acc(t, px, py, pz, vx, vy, vz, rx, ry, rz)
-        wx1, wy1, wz1 = ((rx_r - rx) / tau, (ry_r - ry) / tau,
-                         (rz_r - rz) / tau) if tau > 0.0 else no_lag
+    px2, py2, pz2 = px + h2 * vx, py + h2 * vy, pz + h2 * vz
+    vx2, vy2, vz2 = vx + h2 * ax1, vy + h2 * ay1, vz + h2 * az1
+    rx2, ry2, rz2 = rx + h2 * wx1, ry + h2 * wy1, rz + h2 * wz1
+    ax2, ay2, az2 = acc(t + h2, px2, py2, pz2, vx2, vy2, vz2, rx2, ry2, rz2,
+                        T, sc, cc)
+    wx2, wy2, wz2 = ((rx_r - rx2) / tau, (ry_r - ry2) / tau,
+                     (rz_r - rz2) / tau) if tau > 0.0 else no_lag
 
-        px2, py2, pz2 = px + h2 * vx, py + h2 * vy, pz + h2 * vz
-        vx2, vy2, vz2 = vx + h2 * ax1, vy + h2 * ay1, vz + h2 * az1
-        rx2, ry2, rz2 = rx + h2 * wx1, ry + h2 * wy1, rz + h2 * wz1
-        ax2, ay2, az2 = acc(t + h2, px2, py2, pz2, vx2, vy2, vz2, rx2, ry2, rz2)
-        wx2, wy2, wz2 = ((rx_r - rx2) / tau, (ry_r - ry2) / tau,
-                         (rz_r - rz2) / tau) if tau > 0.0 else no_lag
+    px3, py3, pz3 = px + h2 * vx2, py + h2 * vy2, pz + h2 * vz2
+    vx3, vy3, vz3 = vx + h2 * ax2, vy + h2 * ay2, vz + h2 * az2
+    rx3, ry3, rz3 = rx + h2 * wx2, ry + h2 * wy2, rz + h2 * wz2
+    ax3, ay3, az3 = acc(t + h2, px3, py3, pz3, vx3, vy3, vz3, rx3, ry3, rz3,
+                        T, sc, cc)
+    wx3, wy3, wz3 = ((rx_r - rx3) / tau, (ry_r - ry3) / tau,
+                     (rz_r - rz3) / tau) if tau > 0.0 else no_lag
 
-        px3, py3, pz3 = px + h2 * vx2, py + h2 * vy2, pz + h2 * vz2
-        vx3, vy3, vz3 = vx + h2 * ax2, vy + h2 * ay2, vz + h2 * az2
-        rx3, ry3, rz3 = rx + h2 * wx2, ry + h2 * wy2, rz + h2 * wz2
-        ax3, ay3, az3 = acc(t + h2, px3, py3, pz3, vx3, vy3, vz3, rx3, ry3, rz3)
-        wx3, wy3, wz3 = ((rx_r - rx3) / tau, (ry_r - ry3) / tau,
-                         (rz_r - rz3) / tau) if tau > 0.0 else no_lag
+    px4, py4, pz4 = px + h * vx3, py + h * vy3, pz + h * vz3
+    vx4, vy4, vz4 = vx + h * ax3, vy + h * ay3, vz + h * az3
+    rx4, ry4, rz4 = rx + h * wx3, ry + h * wy3, rz + h * wz3
+    ax4, ay4, az4 = acc(t + h, px4, py4, pz4, vx4, vy4, vz4, rx4, ry4, rz4,
+                        T, sc, cc)
+    wx4, wy4, wz4 = ((rx_r - rx4) / tau, (ry_r - ry4) / tau,
+                     (rz_r - rz4) / tau) if tau > 0.0 else no_lag
 
-        px4, py4, pz4 = px + h * vx3, py + h * vy3, pz + h * vz3
-        vx4, vy4, vz4 = vx + h * ax3, vy + h * ay3, vz + h * az3
-        rx4, ry4, rz4 = rx + h * wx3, ry + h * wy3, rz + h * wz3
-        ax4, ay4, az4 = acc(t + h, px4, py4, pz4, vx4, vy4, vz4, rx4, ry4, rz4)
-        wx4, wy4, wz4 = ((rx_r - rx4) / tau, (ry_r - ry4) / tau,
-                         (rz_r - rz4) / tau) if tau > 0.0 else no_lag
-
-        h6 = h / 6.0
-        return (px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
-                py + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
-                pz + h6 * (vz + 2.0 * vz2 + 2.0 * vz3 + vz4),
-                vx + h6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
-                vy + h6 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
-                vz + h6 * (az1 + 2.0 * az2 + 2.0 * az3 + az4),
-                rx + h6 * (wx1 + 2.0 * wx2 + 2.0 * wx3 + wx4),
-                ry + h6 * (wy1 + 2.0 * wy2 + 2.0 * wy3 + wy4),
-                rz + h6 * (wz1 + 2.0 * wz2 + 2.0 * wz3 + wz4))
-
-    return rk
+    h6 = h / 6.0
+    return (px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
+            py + h6 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4),
+            pz + h6 * (vz + 2.0 * vz2 + 2.0 * vz3 + vz4),
+            vx + h6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
+            vy + h6 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
+            vz + h6 * (az1 + 2.0 * az2 + 2.0 * az3 + az4),
+            rx + h6 * (wx1 + 2.0 * wx2 + 2.0 * wx3 + wx4),
+            ry + h6 * (wy1 + 2.0 * wy2 + 2.0 * wy3 + wy4),
+            rz + h6 * (wz1 + 2.0 * wz2 + 2.0 * wz3 + wz4))
 
 
 _BISECT_TOL = 1e-6   # m, penetration resolution at a contact switch
 _MAX_SPLITS = 8
 
 
-def _step_with_events(rk, pen, y, t, h, depth=0):
-    """Step rk(t, y, h) of length h, subdividing at contact boundary crossings."""
-    y1 = rk(t, y, h)
-    pen0 = pen(y)
-    pen1 = pen(y1)
+def _penetration(y, surface: SurfaceModel) -> float:
+    """x_f - x_fs of the state y = p_e + ..., in floats."""
+    _, _, x_fs, bx, by, bz = surface._consts
+    return bx * y[0] + by * y[1] + bz * y[2] - x_fs
+
+
+def _step_with_events(rk, surface, y, y1, t, h, depth=0):
+    """Step y -> y1 = rk(t, y, h), subdividing at contact boundary crossings."""
+    pen0 = _penetration(y, surface)
+    pen1 = _penetration(y1, surface)
     if depth >= _MAX_SPLITS or (pen0 > 0.0) == (pen1 > 0.0):
         return y1
     if abs(pen1) <= _BISECT_TOL:
@@ -350,7 +341,7 @@ def _step_with_events(rk, pen, y, t, h, depth=0):
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         ym = rk(t, y, mid)
-        pm = pen(ym)
+        pm = _penetration(ym, surface)
         if (pm > 0.0) == (pen0 > 0.0):
             lo = mid
         else:
@@ -364,7 +355,9 @@ def _step_with_events(rk, pen, y, t, h, depth=0):
     rem = h - h_used
     if rem <= 0.0:
         return yc
-    return _step_with_events(rk, pen, yc, t + h_used, rem, depth + 1)
+    t += h_used
+    return _step_with_events(rk, surface, yc, rk(t, yc, rem), t, rem,
+                             depth + 1)
 
 
 def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
@@ -376,28 +369,28 @@ def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
     if T < 0.0:
         raise ValueError("thrust must be nonnegative")
 
-    bx, by, bz = surface.B_f_floats
-    x_fs = surface.x_fs
-
-    def pen(y):
-        return bx * y[0] + by * y[1] + bz * y[2] - x_fs
-
     no_lag = cfg.tau_att == 0.0
     y = (*state.p_e, *state.v_e, *(phi_r if no_lag else state.phi))
-    y1 = _step_with_events(_rk4_step(T, phi_r, surface, cfg), pen, y,
-                           state.t, cfg.dt)
+    t, h = state.t, cfg.dt
+    y1 = _rk4(t, y, h, T, phi_r, surface, cfg)
+    in_contact = _penetration(y1, surface) > 0.0
+    if in_contact != (_penetration(y, surface) > 0.0):   # crosses the surface
+        y1 = _step_with_events(
+            lambda t, y, h: _rk4(t, y, h, T, phi_r, surface, cfg),
+            surface, y, y1, t, h)
+        in_contact = _penetration(y1, surface) > 0.0
     return _plant_state(y1[0:3], y1[3:6], phi_r if no_lag else y1[6:9],
-                        pen(y1) > 0.0, state.t + cfg.dt)
+                        in_contact, t + h)
 
 
 def measure(state: PlantState, surface: SurfaceModel, cfg: PlantConfig,
             rng: np.random.Generator | None = None) -> Measurement:
     """Project the true state onto force/motion coordinates, with sensor noise."""
     p_e, v_e = np.array(state.p_e), np.array(state.v_e)
-    x_f = float(surface.B_f @ p_e)
-    x_dot_f = float(surface.B_f @ v_e)
-    x_m = tuple((surface.B_m.T @ p_e).tolist())
-    x_dot_m = tuple((surface.B_m.T @ v_e).tolist())
+    x_f = float(surface.B_f.dot(p_e))
+    x_dot_f = float(surface.B_f.dot(v_e))
+    x_m = tuple(surface.B_m.T.dot(p_e).tolist())
+    x_dot_m = tuple(surface.B_m.T.dot(v_e).tolist())
     f_f = contact_force(x_f, x_dot_f, surface)
     n = cfg.noise
     if rng is not None and n._any:

@@ -4,13 +4,33 @@ and the plant's derivative as a function of the whole 9-float state.
 plant.step and the reference generator integrate with RK4 steps unrolled by
 hand; the tests check them bit for bit against rk4 on these derivatives,
 and the float paths of the controller against their numpy forms, on
-values from draw.
+values from draw. E3 and rotation are the full-matrix kinematics that the
+tests check the plant's and the controller's closed forms against.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from uamsim import plant
 from uamsim.plant import thrust_direction
+
+E3 = np.array([0.0, 0.0, 1.0])
+
+
+def rotation(phi) -> np.ndarray:
+    """Body-to-inertial rotation for ZYX Euler angles (roll, pitch, yaw)."""
+    rx, ry, rz = float(phi[0]), float(phi[1]), float(phi[2])
+    cx, sx = math.cos(rx), math.sin(rx)
+    cy, sy = math.cos(ry), math.sin(ry)
+    cz, sz = math.cos(rz), math.sin(rz)
+    return np.array([
+        [cz * cy, cz * sy * sx - sz * cx, cz * sy * cx + sz * sx],
+        [sz * cy, sz * sy * sx + cz * cx, sz * sy * cx - cz * sx],
+        [-sy, cy * sx, cy * cx],
+    ])
 
 
 def draw(rng, shape):
@@ -85,14 +105,10 @@ def reference_step(state, T: float, phi_r, surface, cfg):
         steps.append(h)
         return rk4(f, t, y, h)
 
-    bx, by, bz = surface.B_f.tolist()
-
-    def pen(y):
-        return bx * y[0] + by * y[1] + bz * y[2] - surface.x_fs
-
     phi = phi_r if cfg.tau_att == 0.0 else list(state.phi)
     y = list(state.p_e) + list(state.v_e) + phi
-    y1 = plant._step_with_events(rk, pen, y, state.t, cfg.dt)
+    y1 = plant._step_with_events(rk, surface, y, rk(state.t, y, cfg.dt),
+                                 state.t, cfg.dt)
     if cfg.tau_att == 0.0:
         y1[6:9] = phi_r
     return y1, len(steps)

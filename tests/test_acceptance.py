@@ -13,10 +13,11 @@ import pytest
 from uamsim import controller as ctl
 from uamsim import harness
 from uamsim import scheduler as sched
-from uamsim.estimator import _lambda_max_2x2
-from uamsim.plant import E3, Measurement, SurfaceModel
+from uamsim.plant import Measurement, SurfaceModel
 from uamsim.scheduler import GainBox
 
+from estimator_reference import lambda_max_2x2
+from plant_reference import E3
 from region_raster import _boundary_mask, _rasterize_polygon
 from switched_oracle import cycle_contraction, sample_params
 
@@ -176,7 +177,7 @@ def test_criterion_08_rlse_convergence(monkeypatch):
 
     def recording_update(*args, **kwargs):
         est = rlse_update(*args, **kwargs)
-        caps.append(_lambda_max_2x2(est.P))
+        caps.append(lambda_max_2x2(est.P))
         return est
 
     monkeypatch.setattr(harness.estm, "rlse_update", recording_update)

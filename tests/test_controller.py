@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from uamsim import controller as ctl
 from uamsim.controller import (DOBState, GainSet, InfeasibleInput, compose_u,
                                control_force, control_motion, dob_estimates,
                                dob_update, extract_inputs, invert_inputs,
                                recompose)
-from uamsim.plant import Measurement, SurfaceModel, E3
+from uamsim.plant import Measurement, SurfaceModel
 from uamsim.reference import CONTACT, FREE, ReferenceState
 
-from plant_reference import draw
+from plant_reference import E3, draw
 
 
 def vertical_surface():
@@ -165,6 +166,38 @@ def test_dob_and_motion_law_equal_numpy_forms_bit_for_bit():
             assert abs(a[1] / T) > 1.0 or abs(a[0] / (T * math.cos(phi[0]))) > 1.0
             continue
         assert out == (T, math.asin(a[1] / T), math.asin(a[0] / (T * math.cos(phi[0]))))
+
+
+def test_dot_products_equal_matmul_bit_for_bit():
+    # measure, compose_u, extract_inputs, invert_inputs and rlse_update take
+    # their eight numpy products with .dot; on the operand layouts they use
+    # (B_f and p_e, the transposed view B_m.T, B_m and a 2-tuple, the
+    # memoised _psi, P and Y, Y and theta) .dot must round as @ does
+    rng = np.random.default_rng(31)
+    for _ in range(20000):
+        B_f, p_e, u_e = draw(rng, (3, 3))
+        B_m = draw(rng, (3, 2))
+        u_m = tuple(draw(rng, 2).tolist())
+        psi = ctl._psi(rng.uniform(-math.pi, math.pi))
+        P = draw(rng, (2, 2))
+        Y, theta = draw(rng, (2, 2))
+        for a, b in ((B_f, p_e), (B_m.T, p_e), (B_m, u_m), (psi, u_e),
+                     (P, Y), (Y, theta)):
+            assert a.dot(b).tobytes() == (a @ b).tobytes()
+
+
+def test_psi_memoised_read_only_and_fresh():
+    # _psi hands every caller the same matrix for a yaw, so it must be
+    # read-only, and equal to the matrix built anew
+    for yaw in (0.0, 0.3, -2.1, math.pi):
+        psi = ctl._psi(yaw)
+        assert ctl._psi(yaw) is psi
+        assert not psi.flags.writeable
+        with pytest.raises(ValueError):
+            psi[0, 0] = 2.0
+        c, sn = math.cos(yaw), math.sin(yaw)
+        fresh = np.array([[c, sn, 0.0], [sn, -c, 0.0], [0.0, 0.0, 1.0]])
+        assert np.array_equal(psi, fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 
 from uamsim.plant import (DisturbanceConfig, Measurement, MeasurementNoise,
                           PlantConfig, PlantState, SurfaceModel, contact_force,
-                          measure, rotation, step, thrust_direction)
+                          measure, step, thrust_direction)
 
-from plant_reference import draw, dynamics, reference_step, rk4
+from plant_reference import draw, dynamics, reference_step, rk4, rotation
 
 
 def vertical_surface(k_e=200.0, b_e=0.5):
@@ -170,7 +170,8 @@ def test_step_acceleration_identity_at_evaluation_point():
         st = PlantState(p_e=p_e, v_e=v_e, phi=phi)
         y = np.concatenate([st.p_e, st.v_e, st.phi])
         d = np.array(dynamics(T, phi_r.tolist(), s, cfg)(t, y.tolist()))
-        assert list(_acceleration(T, s, cfg)(t, *y.tolist())) == d[3:6].tolist()
+        assert (list(_acceleration(t, *y.tolist(), T, s._consts, cfg._consts))
+                == d[3:6].tolist())
         x_dot_f = float(s.B_f @ st.v_e)
         f_c = contact_force(float(s.B_f @ st.p_e), x_dot_f, s)
         delta = dist.const + dist.amp * np.sin(2.0 * math.pi * dist.freq_hz * t)
@@ -230,6 +231,39 @@ def test_step_equals_generic_rk4_bit_for_bit():
         assert out.t == st.t + dt
         assert (n_rk4 > 1) == (where == "crossing")
         assert out.in_contact == (where != "free")
+
+
+def test_step_alternating_plants_match_reference_bit_for_bit():
+    # step reads constants that SurfaceModel and PlantConfig derive when they
+    # are built; stepping two tilted surfaces and two configurations (lag,
+    # sinusoidal disturbance and friction, against none of them) in every
+    # pairing, one step of each in turn, must match the reference exactly,
+    # so that no constant of one pair leaks into a step of another
+    surfaces = [SurfaceModel.from_tilt(30.0, 40.0, p_s=(1.0, 0.5, 1.5),
+                                       k_e=300.0, b_e=0.8),
+                SurfaceModel.from_tilt(-15.0, 0.0, p_s=(0.8, 0.0, 1.2),
+                                       k_e=80.0, b_e=0.2)]
+    cfgs = [PlantConfig(m_t=3.5, tau_att=0.03, disturbance=DisturbanceConfig(
+                const=[0.4, -0.2, 0.3], amp=[0.5, 0.2, 0.1],
+                freq_hz=[1.0, 3.0, 7.0], tangential_friction=1.5)),
+            PlantConfig(m_t=5.0, tau_att=0.0)]
+    pairs = [(s, c) for s in surfaces for c in cfgs]
+    states = [PlantState(p_e=s.p_s - 0.002 * s.B_f, v_e=0.3 * s.B_f,
+                         phi=(0.02, -0.01, 0.1)) for s, _ in pairs]
+    rng = np.random.default_rng(23)
+    bisected, pressed = [0] * len(pairs), [0] * len(pairs)
+    for _ in range(300):
+        for k, (s, cfg) in enumerate(pairs):
+            T = cfg.m_t * cfg.g * rng.uniform(0.9, 1.1)
+            phi_r = rng.normal(scale=0.05, size=3)
+            out = step(states[k], T, phi_r, s, cfg)
+            y1, n_rk4 = reference_step(states[k], T, phi_r, s, cfg)
+            assert list(out.p_e) + list(out.v_e) + list(out.phi) == y1
+            assert out.in_contact == (float(s.B_f @ out.p_e) - s.x_fs > 0.0)
+            bisected[k] += n_rk4 > 1
+            pressed[k] += out.in_contact
+            states[k] = out
+    assert min(bisected) > 0 and min(pressed) > 0
 
 
 def test_rk4_exponential_decay_matches_taylor_polynomial():
