@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from math import atan2, exp, hypot, inf, log, pi, sqrt
 
 import numpy as np
 
@@ -240,9 +241,9 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
 
     Returns a convex polygon clipped to the gain box (empty vertex list when
     infeasible). The polygon never certifies a gain pair that violates the
-    raw inequalities.
+    raw inequalities. NS3 returns empty without clipping when
+    k_d^2 < 4 m_t k_e (1 + k_f_min): its band is then empty at every k_f.
     """
-    inf = math.inf
     if not (0.0 < k_p < inf and 0.0 < k_d < inf and 0.0 < k_e < inf
             and 0.0 < b_e < inf and 0.0 < m_t < inf):
         finite = all(map(math.isfinite, (k_p, k_d, k_e, b_e, m_t)))
@@ -261,7 +262,11 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
     db_slope, db_icept = -b_e, k_d - b_e        # b_f vs k_d - b_e(1+k_f)
 
     if cond_id == NS3:
-        # band between the overdamping curve and the dB >= 0 line
+        # band between the overdamping curve and the dB >= 0 line, empty
+        # when the line lies below the curve (so below every tangent) at
+        # every k_f >= k_f_min
+        if k_d * k_d < 4.0 * m_t * k_e * (1.0 + box.k_f_min):
+            return GainRegion(cond_id)
         db_upper = _upper(db_slope, db_icept)
         return _best_region(cond_id, box, [
             [tan, db_upper]
@@ -338,38 +343,39 @@ def region_grid(cond_id: str, k_p: float, k_d: float, k_e: float, b_e: float,
 # ---------------------------------------------------------------------------
 
 def _lambda_mode(K: float, B: float, dK: float, dB: float, L: float,
-                 i: int) -> float:
+                 sgn: float) -> float:
     """Contraction factor of one mode's arc of the switching cycle.
 
-    Matches the amplitude ratio of the mode-i trajectory between the
-    mode-difference line {dK*z1 + dB*z2 = 0} and the turning line {z2 = 0}
-    (trajectory-oracle semantics; exercised in the test suite). L is
-    hypot(dK, dB), shared by the two arcs of a cycle.
+    Matches the amplitude ratio of the trajectory of the mode with sgn -1.0
+    (free) or +1.0 (contact) between the mode-difference line
+    {dK*z1 + dB*z2 = 0} and the turning line {z2 = 0} (trajectory-oracle
+    semantics; exercised in the test suite). L is hypot(dK, dB), shared by
+    the two arcs of a cycle. An arc whose evaluation overflows or divides by
+    zero counts as not contracting (inf).
     """
-    sgn = -1.0 if i == 1 else 1.0
     disc = B * B - 4.0 * K
 
     if abs(disc) <= _REPEATED_ROOT_RTOL * 4.0 * K:
         den = 2.0 * dK - B * dB
-        if den == 0.0:
-            return math.inf
-        base = (B * L / abs(den)) * math.exp(2.0 * dK / den)
-        return base ** sgn
+        try:                                     # den == 0.0 included
+            return ((B * L / abs(den)) * exp(2.0 * dK / den)) ** sgn
+        except (OverflowError, ZeroDivisionError):
+            return inf
 
     if disc < 0.0:
-        w = 0.5 * math.sqrt(-disc)
+        w = 0.5 * sqrt(-disc)
         Q = B * dK - 2.0 * K * dB
-        phi = (-math.atan2(sgn * 2.0 * w * dK, Q)) % math.pi
-        br = (K / w) / math.sqrt(dK * dK / L ** 2 + Q * Q / (4.0 * w * w * L * L))
-        return (br ** sgn) * math.exp(-(B / (2.0 * w)) * phi)
+        phi = (-atan2(sgn * 2.0 * w * dK, Q)) % pi
+        br = (K / w) / sqrt(dK * dK / L ** 2 + Q * Q / (4.0 * w * w * L * L))
+        return (br ** sgn) * exp(-(B / (2.0 * w)) * phi)
 
-    r = math.sqrt(disc)
+    r = sqrt(disc)
     la = 0.5 * (-B - r)
     lb = 0.5 * (-B + r)
     x_b = abs((dK * lb + K * dB) / (K * L))
     x_a = abs((dK * la + K * dB) / (K * L))
     if x_b == 0.0 or x_a == 0.0:
-        return math.inf
+        return inf
     try:
         return (x_b ** (sgn * la / (lb - la))) * (x_a ** (sgn * lb / (la - lb)))
     except OverflowError:
@@ -384,10 +390,9 @@ def _real_root_log(x_b: float, x_a: float, sgn: float, la: float,
     finite. Only there use the log form, whose last bits differ.
     """
     try:
-        return math.exp(sgn * (la * math.log(x_b) - lb * math.log(x_a))
-                        / (lb - la))
+        return exp(sgn * (la * log(x_b) - lb * log(x_a)) / (lb - la))
     except OverflowError:
-        return math.inf
+        return inf
 
 
 def lambda_pair(sp: SwitchedParams) -> tuple[float, float, float]:
@@ -398,11 +403,11 @@ def lambda_pair(sp: SwitchedParams) -> tuple[float, float, float]:
     """
     dK = sp.K1 - sp.K2
     dB = sp.B1 - sp.B2
-    L = math.hypot(dK, dB)
+    L = hypot(dK, dB)
     if L == 0.0:
         raise DegenerateDirection("identical free/contact modes")
-    l1 = _lambda_mode(sp.K1, sp.B1, dK, dB, L, 1)
-    l2 = _lambda_mode(sp.K2, sp.B2, dK, dB, L, 2)
+    l1 = _lambda_mode(sp.K1, sp.B1, dK, dB, L, -1.0)
+    l2 = _lambda_mode(sp.K2, sp.B2, dK, dB, L, 1.0)
     return l1, l2, l1 * l2
 
 
@@ -416,9 +421,7 @@ def _j_evaluator(k_p: float, k_d: float, k_e: float, b_e: float, m_t: float,
 
     J = Lambda1*Lambda2 + (2/w_k)^2 (k_f - mid_k)^2 + (2/w_b)^2 (b_f - mid_b)^2,
     with the product taken as 1 when the two modes are identical. A
-    nonpositive mode parameter raises ValueError, as in switched_params. The
-    free mode's arc hoists only left-most sub-products of _lambda_mode's
-    expressions, so J is lambda_pair's product plus the penalties to the bit.
+    nonpositive mode parameter raises ValueError, as in switched_params.
     """
     K1 = k_p / m_t
     B1 = k_d / m_t
@@ -432,24 +435,7 @@ def _j_evaluator(k_p: float, k_d: float, k_e: float, b_e: float, m_t: float,
     cb = (2.0 / wb) ** 2 if wb > 0.0 else 0.0
     mk = 0.5 * (k_lo + k_hi)
     mb = 0.5 * (b_lo + b_hi)
-    hypot, sqrt, atan2, exp, pi = math.hypot, math.sqrt, math.atan2, math.exp, math.pi
-    arc, inf = _lambda_mode, math.inf
-
-    # the free mode's arc (i = 1, sgn = -1) in _lambda_mode's branches
-    disc = B1 * B1 - 4.0 * K1
-    if abs(disc) <= _REPEATED_ROOT_RTOL * 4.0 * K1:
-        free = 0                                 # repeated root: generic arc
-    elif disc < 0.0:
-        free = 1
-        w = 0.5 * sqrt(-disc)
-        K_w, K1_2, s2w, w4 = K1 / w, 2.0 * K1, -1.0 * 2.0 * w, 4.0 * w * w
-        decay = -(B1 / (2.0 * w))
-    else:
-        free = 2
-        r = sqrt(disc)
-        la = 0.5 * (-B1 - r)
-        lb = 0.5 * (-B1 + r)
-        e_b, e_a = -1.0 * la / (lb - la), -1.0 * lb / (la - lb)
+    arc = _lambda_mode
 
     def cost(k_f: float, b_f: float) -> float:
         K2 = (1.0 + k_f) * k_e / m_t
@@ -462,24 +448,7 @@ def _j_evaluator(k_p: float, k_d: float, k_e: float, b_e: float, m_t: float,
         if L == 0.0:
             J = 1.0
         else:
-            if free == 1:
-                Q = B1 * dK - K1_2 * dB
-                phi = (-atan2(s2w * dK, Q)) % pi
-                br = K_w / sqrt(dK * dK / L ** 2 + Q * Q / (w4 * L * L))
-                l1 = (br ** -1.0) * exp(decay * phi)
-            elif free == 2:
-                x_b = abs((dK * lb + K1 * dB) / (K1 * L))
-                x_a = abs((dK * la + K1 * dB) / (K1 * L))
-                if x_b == 0.0 or x_a == 0.0:
-                    l1 = inf
-                else:
-                    try:
-                        l1 = (x_b ** e_b) * (x_a ** e_a)
-                    except OverflowError:
-                        l1 = _real_root_log(x_b, x_a, -1.0, la, lb)
-            else:
-                l1 = arc(K1, B1, dK, dB, L, 1)
-            J = l1 * arc(K2, B2, dK, dB, L, 2)
+            J = arc(K1, B1, dK, dB, L, -1.0) * arc(K2, B2, dK, dB, L, 1.0)
         if wk > 0.0:
             J += ck * (k_f - mk) ** 2
         if wb > 0.0:
@@ -513,7 +482,7 @@ def pattern_search_J(k_p: float, k_d: float, k_e: float, b_e: float,
     wk = wk if wk > 0.0 else 1.0
     wb = wb if wb > 0.0 else 1.0
     tol_k, tol_b = 1e-4 * wk, 1e-4 * wb
-    isfinite, inf = math.isfinite, math.inf
+    isfinite = math.isfinite
 
     best = (inf, box.mid[0], box.mid[1])
     for seed in seeds:

@@ -92,6 +92,34 @@ def test_ns3_band_empty_for_stiff_wall():
     assert reg.empty
 
 
+def test_ns3_empty_band_exit_equals_full_tangent_clipping():
+    # region_explicit skips the tangent clipping when k_d^2 < 4 m_t k_e
+    # (1 + k_f_min); the full clipping must then be empty too. A third of
+    # the draws sit within 1e-15..1e-2 (relative) of that boundary.
+    rng = np.random.default_rng(31)
+    below = above = nonempty = 0
+    for i in range(3000):
+        k_lo, b_lo = rng.uniform(0.05, 1.0), rng.uniform(0.5, 30.0)
+        box = GainBox(k_lo, k_lo + (i % 7 != 0) * rng.uniform(0.0, 2.0),
+                      b_lo, b_lo + rng.uniform(1e-3, 60.0))
+        k_p, k_d = rng.uniform(1.0, 60.0), rng.uniform(1.0, 60.0)
+        k_e, b_e, m_t = rng.uniform(5.0, 600.0), rng.uniform(0.05, 1.5), rng.uniform(1.0, 6.0)
+        if i % 3 == 0:
+            rel = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-15.0, -2.0)
+            k_e = k_d * k_d / (4.0 * m_t * (1.0 + k_lo)) * (1.0 + rel)
+            if k_d * k_d < 4.0 * m_t * k_e * (1.0 + k_lo):
+                below += 1
+            else:
+                above += 1
+        full = sched._best_region(NS3, box, [
+            [tan, sched._upper(-b_e, k_d - b_e)]
+            for tan in sched._tangents(box.k_f_min, box.k_f_max, k_e, b_e, m_t)])
+        reg = region_explicit(NS3, k_p, k_d, k_e, b_e, m_t, box)
+        assert reg.vertices == full.vertices and reg.area == full.area, i
+        nonempty += not reg.empty
+    assert below > 300 and above > 300 and nonempty > 100
+
+
 def test_ns1_softest_environment_matches_grid_oracle():
     # softest admissible environment; the overdamping gate holds at m_t = 4
     assert 4.0 * 4.0 * 23.5 <= 19.5 ** 2
@@ -489,6 +517,22 @@ def test_schedule_near_critical_contact_mode_stays_finite():
     sp = switched_params(23.5, 19.5, 0.1, 40.0, k_e, b_e, m_t)
     measured = cycle_contraction(sp.K1, sp.B1, sp.K2, sp.B2)
     assert lambda_pair(sp)[2] == pytest.approx(measured, rel=1e-9)
+
+
+def test_repeated_root_arc_that_overflows_counts_as_not_contracting():
+    # a critically damped free mode (k_d^2 == 4 m_t k_p) whose arc's
+    # exponent 2 dK/den overflows (b_f 129.24) or underflows to a zero base
+    # raised to -1 (b_f 129.26) near the line den = 0
+    box = GainBox(0.1, 1.0, 10.0, 200.0)
+    for b_f in (129.24, 129.26):
+        assert j_cost(0.5, b_f, 25.0, 20.0, 200.0, 0.5, 4.0, box) == math.inf
+        l1, l2, prod = lambda_pair(switched_params(25.0, 20.0, 0.5, b_f, 200.0, 0.5, 4.0))
+        assert l1 == math.inf and math.isfinite(l2) and prod == math.inf
+    for args in ((156.25, 50.0, 4.475269021423749, 0.4644120011278053, 4.0),
+                 (18.0, 12.0, 36.5398426606978, 0.3900397924212447, 2.0)):
+        k_f, b_f, J = pattern_search_J(*args, GainBox())
+        assert math.isfinite(J)
+        assert GainBox().clamp(k_f, b_f) == (k_f, b_f)
 
 
 def test_j_cost_penalties_anchor_midpoint():

@@ -8,8 +8,9 @@ once with --trace 1 for the per-layer metrics, for BENCHMARK.json's
 run_seconds each. Every run uses seed 901, so that records compare with each
 other. The record also holds the machine (platform, Python version, CPU
 count), `git describe`, the behaviour fingerprint printed by
-tools/log_hashes.py, and the wall time and passed/failed counts of one run
-of the tier-1 tests (`python -m pytest -q --continue-on-collection-errors`
+tools/log_hashes.py, the line count of each module under src/ and their
+total, and the wall time and passed/failed counts of one run of the tier-1
+tests (`python -m pytest -q --continue-on-collection-errors`
 with src/ on PYTHONPATH). Exits nonzero, without writing the record, if a
 benchmark run is not correct or reports a failed operation, or if a test
 fails.
@@ -76,6 +77,15 @@ def log_hashes() -> dict:
     return dict(line.rsplit(" ", 1) for line in proc.stdout.splitlines())
 
 
+def src_lines() -> dict:
+    """Line count of each module under src/, and their total."""
+    src = ROOT / "src"
+    modules = {path.relative_to(src).as_posix():
+               len(path.read_text().splitlines())
+               for path in sorted(src.rglob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("tag", help="names the output file, BENCH_<tag>.json")
@@ -107,6 +117,7 @@ def main(argv=None) -> int:
                     "python": platform.python_version(),
                     "cpu_count": os.cpu_count()},
         "log_hashes": log_hashes(),
+        "src_lines": src_lines(),
         "tier1": tests,
         "workloads": workloads,
     }
