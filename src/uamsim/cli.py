@@ -12,19 +12,16 @@ from . import scheduler as sched
 from .scheduler import GainBox
 
 
-def _load_scenario(ref: str, **overrides) -> harness.Scenario:
-    if os.path.exists(ref):
-        return harness.Scenario.from_json(ref, **overrides)
-    return harness.preset(ref, **overrides)
-
-
 def _run_one(ref: str, out_dir: str, seed, duration) -> dict:
     overrides = {}
     if seed is not None:
         overrides["seed"] = seed
     if duration is not None:
         overrides["duration"] = duration
-    sc = _load_scenario(ref, **overrides)
+    if os.path.exists(ref):
+        sc = harness.Scenario.from_json(ref, **overrides)
+    else:
+        sc = harness.preset(ref, **overrides)
     log = harness.run(sc)
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, sc.name)

@@ -333,7 +333,7 @@ def run(scenario: Scenario) -> RunLog:
 
     x_f0 = float(surface.B_f @ p0)
     x_m0 = tuple((surface.B_m.T @ p0).tolist())
-    ref = refgen.ReferenceState.at_rest(x_f0, x_m0)
+    ref = refgen.ReferenceState(x_fr=x_f0, x_mr=x_m0)
 
     dt = scenario.plant_dt
     n_steps = round(scenario.duration / dt)
@@ -539,9 +539,7 @@ def metrics_text(m: dict) -> str:
 # scheduler benchmark
 # ---------------------------------------------------------------------------
 
-def bench_scheduler(N_list, reps: int = 20, k_p: float = 23.5,
-                    k_d: float = 19.5, k_e: float = 200.0, b_e: float = 0.5,
-                    m_t: float = 4.0, box: GainBox | None = None) -> dict:
+def bench_scheduler(N_list, reps: int = 20) -> dict:
     """Median wall time of grid search vs explicit inequalities per N.
 
     Returns {"rows": [(N, t_grid, t_explicit)], "grid_exponent": float},
@@ -550,7 +548,7 @@ def bench_scheduler(N_list, reps: int = 20, k_p: float = 23.5,
     """
     if not N_list:
         raise ValueError("need at least one N")
-    box = box or GainBox()
+    k_p, k_d, k_e, b_e, m_t, box = 23.5, 19.5, 200.0, 0.5, 4.0, GainBox()
 
     def _time_grid(N):
         t0 = time.perf_counter()

@@ -56,19 +56,15 @@ class SurfaceModel:
         self.p_s = np.asarray(self.p_s, dtype=float).reshape(3)
         if not (self.k_e > 0.0 and self.b_e > 0.0):
             raise ValueError("surface stiffness/damping must be positive")
-        self.validate_basis()
+        M = np.column_stack([self.B_f, self.B_m])
+        err = np.abs(M.T @ M - np.eye(3)).max()
+        if not err <= 1e-12:
+            raise ValueError(f"[B_f B_m] not orthonormal (max deviation {err:.3e})")
         self.x_fs = float(self.B_f @ self.p_s)
         self.B_f_floats = tuple(self.B_f.tolist())
         self.B_m_z = tuple(self.B_m[2].tolist())
         # the plant step's surface constants: k_e, b_e, x_fs, B_f
         self._consts = (self.k_e, self.b_e, self.x_fs, *self.B_f_floats)
-
-    def validate_basis(self, tol: float = 1e-12) -> None:
-        """Check [B_f B_m] is orthonormal to within tol."""
-        M = np.column_stack([self.B_f, self.B_m])
-        err = np.abs(M.T @ M - np.eye(3)).max()
-        if not err <= tol:
-            raise ValueError(f"[B_f B_m] not orthonormal (max deviation {err:.3e})")
 
     @classmethod
     def from_tilt(cls, tilt_deg: float, yaw_deg: float = 0.0,
@@ -188,21 +184,6 @@ class Measurement:
     def __post_init__(self):
         self.x_m = as_floats(self.x_m, 2)
         self.x_dot_m = as_floats(self.x_dot_m, 2)
-
-
-# step and measure build their results from values that already have the
-# field types, so they skip the constructors' conversion
-
-def _plant_state(p_e, v_e, phi, in_contact, t) -> PlantState:
-    s = object.__new__(PlantState)
-    s.p_e, s.v_e, s.phi, s.in_contact, s.t = p_e, v_e, phi, in_contact, t
-    return s
-
-
-def _measurement(x_f, x_dot_f, x_m, x_dot_m, f_f) -> Measurement:
-    m = object.__new__(Measurement)
-    m.x_f, m.x_dot_f, m.x_m, m.x_dot_m, m.f_f = x_f, x_dot_f, x_m, x_dot_m, f_f
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +360,11 @@ def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
             lambda t, y, h: _rk4(t, y, h, T, phi_r, surface, cfg),
             surface, y, y1, t, h)
         in_contact = _penetration(y1, surface) > 0.0
-    return _plant_state(y1[0:3], y1[3:6], phi_r if no_lag else y1[6:9],
-                        in_contact, t + h)
+    # the fields already have their types: skip __post_init__'s conversion
+    s = object.__new__(PlantState)
+    s.p_e, s.v_e, s.phi, s.in_contact, s.t = (
+        y1[0:3], y1[3:6], phi_r if no_lag else y1[6:9], in_contact, t + h)
+    return s
 
 
 def measure(state: PlantState, surface: SurfaceModel, cfg: PlantConfig,
@@ -402,4 +386,7 @@ def measure(state: PlantState, surface: SurfaceModel, cfg: PlantConfig,
         (v0, v1), (e0, e1) = x_dot_m, rng.standard_normal(2).tolist()
         x_dot_m = (v0 + vel * e0, v1 + vel * e1)
         f_f += n.f_f * rng.standard_normal()
-    return _measurement(x_f, x_dot_f, x_m, x_dot_m, f_f)
+    # the fields already have their types: skip __post_init__'s conversion
+    m = object.__new__(Measurement)
+    m.x_f, m.x_dot_f, m.x_m, m.x_dot_m, m.f_f = x_f, x_dot_f, x_m, x_dot_m, f_f
+    return m

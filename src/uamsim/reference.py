@@ -42,10 +42,6 @@ class ReferenceState:
         self.x_mr_dot = as_floats(self.x_mr_dot, 2)
         self.x_mr_ddot = as_floats(self.x_mr_ddot, 2)
 
-    @classmethod
-    def at_rest(cls, x_f: float, x_m) -> "ReferenceState":
-        return cls(x_fr=x_f, x_mr=x_m)
-
 
 def _reference(x_fr, x_fr_dot, x_fr_ddot, f_fr, f_fr_dot, x_mr, x_mr_dot,
                x_mr_ddot, mode) -> ReferenceState:

@@ -464,19 +464,13 @@ def j_cost(k_f: float, b_f: float, k_p: float, k_d: float, k_e: float,
     return _j_evaluator(k_p, k_d, k_e, b_e, m_t, box)(k_f, b_f)
 
 
-def pattern_search_J(k_p: float, k_d: float, k_e: float, b_e: float,
-                     m_t: float, box: GainBox, seeds=None,
-                     cost=None) -> tuple[float, float, float]:
-    """Coordinate pattern search minimizing J over the gain box.
+def pattern_search_J(cost, box: GainBox, seeds) -> tuple[float, float, float]:
+    """Coordinate pattern search minimizing cost(k_f, b_f) over the gain box.
 
     Polls +/- one step along each axis, halving the step when no poll
     improves, until the step falls below 1e-4 of the box width. Multi-start
-    over the supplied seeds (default: box midpoint plus the four corners).
+    over the seeds, each clamped to the box; returns (k_f, b_f, cost).
     """
-    if cost is None:
-        cost = _j_evaluator(k_p, k_d, k_e, b_e, m_t, box)
-    if seeds is None:
-        seeds = [box.mid] + box.corners()
     k_lo, k_hi, b_lo, b_hi = box.k_f_min, box.k_f_max, box.b_f_min, box.b_f_max
     wk, wb = box.widths
     wk = wk if wk > 0.0 else 1.0
@@ -562,9 +556,10 @@ def schedule(k_p: float, k_d: float, k_e_hat: float, b_e_hat: float,
                                   certified=True)
         # numerically marginal sliver: fall through to the search
 
-    k_f, b_f, J = pattern_search_J(k_p, k_d, k_e_hat, b_e_hat, m_bar, box)
+    k_f, b_f, J = pattern_search_J(
+        _j_evaluator(k_p, k_d, k_e_hat, b_e_hat, m_bar, box), box,
+        [box.mid] + box.corners())
     if math.isfinite(J):
-        k_f, b_f = box.clamp(k_f, b_f)
         try:
             prod = lambda_pair(switched_params(k_p, k_d, k_f, b_f, k_e_hat,
                                                b_e_hat, m_bar))[2]

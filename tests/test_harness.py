@@ -32,6 +32,9 @@ def test_zero_duration_gives_header_only_log(tmp_path):
     assert text == [",".join(LOG_COLUMNS)]
     back = RunLog.read_csv(p)
     assert back.n_samples == 0
+    p.write_text(",".join(LOG_COLUMNS[1:]) + "\n")
+    with pytest.raises(ValueError, match="schema"):
+        RunLog.read_csv(p)
 
 
 def test_replay_bit_identical():
@@ -66,6 +69,10 @@ def test_validate_log_catches_bad_data():
     bad2.data[0, 5] = math.nan
     with pytest.raises(ValueError):
         validate_log(bad2)
+    bad3 = RunLog(data=log.data.copy())
+    bad3.data = bad3.data[:, 1:]
+    with pytest.raises(ValueError, match="column count"):
+        validate_log(bad3)
 
 
 def test_csv_round_trip(tmp_path):
@@ -77,6 +84,23 @@ def test_csv_round_trip(tmp_path):
     back = RunLog.read_csv(p, e)
     assert np.allclose(back.data, log.data)
     assert len(back.events) == len(log.events)
+
+
+def test_csv_round_trip_with_events_keeps_data_and_metrics(tmp_path):
+    # a run long enough to settle in contact and to schedule gains
+    log = run(preset("experiment1-fast", duration=6.0))
+    assert log.count_events("schedule") > 0
+    p, e = tmp_path / "log.csv", tmp_path / "events.csv"
+    log.write_csv(p)
+    log.write_events_csv(e)
+    back = RunLog.read_csv(p, e)
+    assert np.array_equal(back.data, log.data)
+    for a, b in zip(back.events, log.events, strict=True):
+        assert a[1:] == b[1:] and abs(a[0] - b[0]) <= 5e-7   # t written to 1 us
+    m = metrics(log)
+    assert not math.isnan(m["settle_time"])
+    assert metrics(back) == m
+    assert "provenance_PatternSearch=" in harness.metrics_text(metrics(back))
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +299,8 @@ def test_bench_scheduler_rows_and_ordering(tmp_path):
     lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
     assert lines[0] == "N,grid_median_s,explicit_median_s"
     assert len(lines) == 3
+    with pytest.raises(ValueError, match="at least one N"):
+        harness.bench_scheduler([])
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,14 @@ def test_step_rejects_nonfinite():
         step(st, 10.0, [math.inf, 0.0, 0.0], s, cfg)
     with pytest.raises(ValueError):
         step(st, 10.0, [0.0, 0.0], s, cfg)
+    with pytest.raises(ValueError, match="nonnegative"):
+        step(st, -1.0, np.zeros(3), s, cfg)
+
+
+def test_plant_config_rejects_nonpositive_dt():
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="dt"):
+            PlantConfig(dt=dt)
 
 
 def test_step_acceleration_identity_at_evaluation_point():

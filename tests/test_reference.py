@@ -109,6 +109,20 @@ def test_contact_step_rejects_nonpositive_damping_estimate():
             contact_step(ref, -6.0, [0.0, 0.0], est, WN, DT)
 
 
+def test_steps_reject_wrong_mode_and_nonpositive_omega_n():
+    free, contact = ReferenceState(mode=FREE), ReferenceState(mode=CONTACT)
+    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
+    with pytest.raises(ValueError, match="free mode"):
+        free_step(contact, 0.5, [0.0, 0.0], WN, DT)
+    with pytest.raises(ValueError, match="contact mode"):
+        contact_step(free, -6.0, [0.0, 0.0], est, WN, DT)
+    for wn in (0.0, -1.0):
+        with pytest.raises(ValueError, match="omega_n"):
+            free_step(free, 0.5, [0.0, 0.0], wn, DT)
+        with pytest.raises(ValueError, match="omega_n"):
+            contact_step(contact, -6.0, [0.0, 0.0], est, wn, DT)
+
+
 def generic_track(x, v, target, wn, dt):
     # one generic rk4 step of x'' = -2 wn x' - wn^2 (x - target), all axes at once
     n = len(x)
@@ -196,7 +210,7 @@ def test_steps_give_float_tuples_and_check_setpoint_length():
         with pytest.raises(ValueError):
             ReferenceState(**bad)
     with pytest.raises(ValueError):
-        ReferenceState.at_rest(0.0, (0.0, 0.0, 0.0))
+        ReferenceState(x_fr=0.0, x_mr=(0.0, 0.0, 0.0))
 
 
 def test_switch_modes_continuous_and_round_trip():
@@ -217,6 +231,8 @@ def test_switch_same_mode_rejected():
     ref = ReferenceState()
     with pytest.raises(ValueError):
         switch_mode(ref, FREE)
+    with pytest.raises(ValueError, match="unknown mode"):
+        switch_mode(ref, "hover")
 
 
 def test_bounded_setpoints_give_bounded_references():

@@ -148,6 +148,18 @@ def test_region_degenerate_box_point():
     assert reg3.empty
 
 
+def test_region_functions_reject_bad_input():
+    with pytest.raises(ValueError, match="N must be"):
+        region_grid(NS1, 23.5, 19.5, 50.0, 1.0, 4.0, BOX, 0)
+    sp = switched_params(23.5, 19.5, 0.5, 20.0, 50.0, 1.0, 4.0)
+    with pytest.raises(ValueError, match="unknown condition"):
+        check_no_switch("NS4", sp)
+    with pytest.raises(ValueError, match="unknown condition"):
+        region_explicit("NS4", 23.5, 19.5, 50.0, 1.0, 4.0, BOX)
+    with pytest.raises(ValueError, match="no centroid"):
+        sched.GainRegion(NS1).centroid()
+
+
 def test_region_grid_shape_and_counts():
     bm = region_grid(NS2, 23.5, 19.5, 50.0, 1.0, 4.0, BOX, 20)
     assert bm.shape == (21, 21)
@@ -237,6 +249,14 @@ def test_lambda_degenerate_direction_raises():
         lambda_pair(sched.SwitchedParams(K1=10.0, B1=2.0, K2=10.0, B2=2.0))
 
 
+def test_lambda_arc_along_a_shared_eigenvector_is_not_contracting():
+    # both modes overdamped, and the mode-difference line is an eigenvector
+    # line of both (a zero base in the real-root arc): no arc reaches the
+    # turning line, so neither contracts
+    sp = sched.SwitchedParams(K1=2.0, B1=3.0, K2=1.0, B2=2.5)
+    assert lambda_pair(sp) == (math.inf, math.inf, math.inf)
+
+
 def test_lambda_heavily_damped_contact_contracts():
     # stable underdamped free mode, strongly overdamped contact mode
     sp = sched.SwitchedParams(K1=5.875, B1=2.0, K2=20.0, B2=25.0)
@@ -257,7 +277,7 @@ def test_pattern_search_recovers_quadratic_minimum():
     def cost(k, b):
         return (k - kstar) ** 2 + 0.01 * (b - bstar) ** 2
 
-    k, b, J = pattern_search_J(23.5, 19.5, 200.0, 0.5, 4.0, box, cost=cost)
+    k, b, J = pattern_search_J(cost, box, [box.mid] + box.corners())
     assert k == pytest.approx(kstar, abs=1e-3)
     assert b == pytest.approx(bstar, abs=1e-3)
     assert J == pytest.approx(0.0, abs=1e-5)
@@ -272,7 +292,7 @@ def test_pattern_search_flat_term_returns_midpoint():
         mk, mb = box.mid
         return (2 / wk) ** 2 * (k - mk) ** 2 + (2 / wb) ** 2 * (b - mb) ** 2
 
-    k, b, _ = pattern_search_J(23.5, 19.5, 200.0, 0.5, 4.0, box, cost=cost)
+    k, b, _ = pattern_search_J(cost, box, [box.mid] + box.corners())
     assert k == pytest.approx(box.mid[0], abs=1e-3)
     assert b == pytest.approx(box.mid[1], abs=1e-3)
 
@@ -285,8 +305,8 @@ def test_pattern_search_multistart_consistency():
         b_e = rng.uniform(0.2, 1.0)
         m_t = rng.uniform(3.5, 4.5)
         seeds = [box.mid] + box.corners()
-        results = [pattern_search_J(23.5, 19.5, k_e, b_e, m_t, box, seeds=[s])
-                   for s in seeds]
+        cost = sched._j_evaluator(23.5, 19.5, k_e, b_e, m_t, box)
+        results = [pattern_search_J(cost, box, [s]) for s in seeds]
         js = [r[2] for r in results]
         assert max(js) - min(js) < 1e-3       # bowl shape: seeds agree
 
@@ -343,10 +363,11 @@ def test_pattern_search_equals_old_loop_bit_for_bit():
             return math.nan if (k * 7.0 + b) % 1.0 < 0.3 else cost(k, b)
 
         seeds = [box.mid] + box.corners()
-        assert (pattern_search_J(23.5, 19.5, k_e, b_e, m_t, box)
+        assert (pattern_search_J(sched._j_evaluator(23.5, 19.5, k_e, b_e, m_t, box),
+                                 box, seeds)
                 == old_pattern_search(cost, box, seeds))
         wild = [(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 50.0)) for _ in range(3)]
-        assert (pattern_search_J(23.5, 19.5, k_e, b_e, m_t, box, seeds=wild, cost=holes)
+        assert (pattern_search_J(holes, box, wild)
                 == old_pattern_search(holes, box, wild))
 
 
@@ -492,6 +513,21 @@ def test_ns3_nonempty_band_centroid_certified():
     assert check_no_switch(res.condition_id, sp2)
 
 
+def test_schedule_point_box_exits():
+    # the box's one gain pair passes NS3: the region is that single vertex
+    box = GainBox(0.5, 0.5, 20.0, 20.0)
+    assert region_explicit(NS3, 1.0, 40.0, 10.0, 0.5, 1.0, box).centroid() == (0.5, 20.0)
+    res = schedule(1.0, 40.0, 10.0, 0.5, 1.0, box)
+    assert (res.provenance, res.condition_id) == (sched.NS_CENTROID, NS3)
+    assert (res.k_f, res.b_f) == (0.5, 20.0) and res.certified
+    # the free and contact modes are identical at the box's one gain pair:
+    # the product is taken as 1, which does not certify
+    res = schedule(3.0, 2.0, 2.0, 1.0, 1.0, GainBox(0.5, 0.5, 0.5, 0.5))
+    assert res.provenance == sched.PATTERN_SEARCH
+    assert (res.k_f, res.b_f) == (0.5, 0.5)
+    assert res.J == res.prod == 1.0 and not res.certified
+
+
 def test_schedule_respects_box_and_certifies_random_draws():
     rng = np.random.default_rng(9)
     for _ in range(300):
@@ -530,7 +566,9 @@ def test_repeated_root_arc_that_overflows_counts_as_not_contracting():
         assert l1 == math.inf and math.isfinite(l2) and prod == math.inf
     for args in ((156.25, 50.0, 4.475269021423749, 0.4644120011278053, 4.0),
                  (18.0, 12.0, 36.5398426606978, 0.3900397924212447, 2.0)):
-        k_f, b_f, J = pattern_search_J(*args, GainBox())
+        box = GainBox()
+        k_f, b_f, J = pattern_search_J(sched._j_evaluator(*args, box), box,
+                                       [box.mid] + box.corners())
         assert math.isfinite(J)
         assert GainBox().clamp(k_f, b_f) == (k_f, b_f)
 
