@@ -12,16 +12,16 @@ from . import scheduler as sched
 from .scheduler import GainBox
 
 
-def _run_one(ref: str, out_dir: str, seed, duration) -> dict:
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    if duration is not None:
-        overrides["duration"] = duration
+def _load(ref: str, seed, duration) -> harness.Scenario:
+    """A preset name or scenario JSON path, with --seed/--duration applied."""
+    overrides = {k: v for k, v in (("seed", seed), ("duration", duration))
+                 if v is not None}
     if os.path.exists(ref):
-        sc = harness.Scenario.from_json(ref, **overrides)
-    else:
-        sc = harness.preset(ref, **overrides)
+        return harness.Scenario.from_json(ref, **overrides)
+    return harness.preset(ref, **overrides)
+
+
+def _run_one(sc: harness.Scenario, out_dir: str) -> dict:
     log = harness.run(sc)
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(out_dir, sc.name)
@@ -34,7 +34,7 @@ def _run_one(ref: str, out_dir: str, seed, duration) -> dict:
 
 
 def cmd_run(args) -> int:
-    m = _run_one(args.scenario, args.out, args.seed, args.duration)
+    m = _run_one(_load(args.scenario, args.seed, args.duration), args.out)
     for line in harness.metrics_text(m).splitlines():
         print(line)
     print(f"wrote logs to {args.out}")
@@ -74,12 +74,18 @@ def cmd_region_export(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    scs = [_load(ref, args.seed, args.duration) for ref in args.scenarios]
+    names = [sc.name for sc in scs]
+    clash = sorted({n for n in names if names.count(n) > 1})
+    if clash:
+        print("sweep: scenarios share a name and would overwrite each other's "
+              f"files: {', '.join(clash)}", file=sys.stderr)
+        return 2
     os.makedirs(args.out, exist_ok=True)
     # the executor starts all of its workers at once
-    workers = min(args.jobs or os.cpu_count() or 1, len(args.scenarios))
+    workers = min(args.jobs or os.cpu_count() or 1, len(scs))
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-        futs = {ex.submit(_run_one, s, args.out, args.seed, args.duration): s
-                for s in args.scenarios}
+        futs = {ex.submit(_run_one, sc, args.out): sc.name for sc in scs}
         for fut in concurrent.futures.as_completed(futs):
             name = futs[fut]
             m = fut.result()

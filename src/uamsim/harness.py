@@ -9,10 +9,9 @@ its seed.
 from __future__ import annotations
 
 import dataclasses
-import gc
 import json
 import math
-import time
+import timeit
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -136,12 +135,15 @@ class Scenario:
         if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError("ctl_rate must give a period of a whole number "
                              "of plant steps")
+        for name in ("seed", "contact_debounce"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer")
         if self.contact_debounce < 1:
             raise ValueError("contact_debounce must be at least 1")
         for name in ("omega_n", "force_period", "thrust_ceiling_factor"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("contact_threshold", "slew_rate", "sched_period"):
+        for name in ("seed", "contact_threshold", "slew_rate", "sched_period"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be nonnegative")
         d = np.asarray(self.slide_dir, dtype=float)
@@ -550,35 +552,24 @@ def bench_scheduler(N_list, reps: int = 20) -> dict:
         raise ValueError("need at least one N")
     k_p, k_d, k_e, b_e, m_t, box = 23.5, 19.5, 200.0, 0.5, 4.0, GainBox()
 
-    def _time_grid(N):
-        t0 = time.perf_counter()
-        for cond in (sched.NS1, sched.NS2, sched.NS3):
+    def _grid(N):
+        for cond in sched._CONDITIONS:
             sched.region_grid(cond, k_p, k_d, k_e, b_e, m_t, box, N)
-        return time.perf_counter() - t0
 
-    def _time_explicit():
-        t0 = time.perf_counter()
-        for cond in (sched.NS1, sched.NS2, sched.NS3):
+    def _explicit():
+        for cond in sched._CONDITIONS:
             sched.region_explicit(cond, k_p, k_d, k_e, b_e, m_t, box)
-        return time.perf_counter() - t0
 
-    _time_grid(min(N_list))          # warmup
-    _time_explicit()
+    _grid(min(N_list))          # warmup
+    _explicit()
     tg = {N: [] for N in N_list}
     te = {N: [] for N in N_list}
-    # interleave repetitions across N so load drift hits all sizes alike,
-    # and keep the collector out of the timed sections
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(reps):
-            for N in N_list:
-                tg[N].append(_time_grid(N))
-                te[N].append(_time_explicit())
-                gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    # interleave repetitions across N so load drift hits all sizes alike;
+    # timeit keeps the collector out of each timed call
+    for _ in range(reps):
+        for N in N_list:
+            tg[N].append(timeit.timeit(lambda: _grid(N), number=1))
+            te[N].append(timeit.timeit(_explicit, number=1))
     rows = [(int(N), float(np.median(tg[N])), float(np.median(te[N])))
             for N in N_list]
 

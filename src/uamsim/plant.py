@@ -308,37 +308,34 @@ def _penetration(y, surface: SurfaceModel) -> float:
     return bx * y[0] + by * y[1] + bz * y[2] - x_fs
 
 
-def _step_with_events(rk, surface, y, y1, t, h, depth=0):
+def _step_with_events(rk, surface, y, y1, t, h):
     """Step y -> y1 = rk(t, y, h), subdividing at contact boundary crossings."""
-    pen0 = _penetration(y, surface)
-    pen1 = _penetration(y1, surface)
-    if depth >= _MAX_SPLITS or (pen0 > 0.0) == (pen1 > 0.0):
-        return y1
-    if abs(pen1) <= _BISECT_TOL:
-        return y1
-    # bisect the substep length until the crossing state is on the boundary
-    lo, hi = 0.0, h
-    yc = y1
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        ym = rk(t, y, mid)
-        pm = _penetration(ym, surface)
-        if (pm > 0.0) == (pen0 > 0.0):
-            lo = mid
-        else:
-            hi = mid
-            yc = ym
-        if abs(pm) <= _BISECT_TOL:
-            yc = ym
-            hi = mid
-            break
-    h_used = hi
-    rem = h - h_used
-    if rem <= 0.0:
-        return yc
-    t += h_used
-    return _step_with_events(rk, surface, yc, rk(t, yc, rem), t, rem,
-                             depth + 1)
+    for _ in range(_MAX_SPLITS):
+        pen0 = _penetration(y, surface)
+        pen1 = _penetration(y1, surface)
+        if (pen0 > 0.0) == (pen1 > 0.0) or abs(pen1) <= _BISECT_TOL:
+            return y1
+        # bisect the substep length until the crossing state is on the boundary
+        lo, hi = 0.0, h
+        yc = y1
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            ym = rk(t, y, mid)
+            pm = _penetration(ym, surface)
+            if (pm > 0.0) == (pen0 > 0.0):
+                lo = mid
+            else:
+                hi = mid
+                yc = ym
+            if abs(pm) <= _BISECT_TOL:
+                yc = ym
+                hi = mid
+                break
+        if h - hi <= 0.0:
+            return yc
+        t, y, h = t + hi, yc, h - hi
+        y1 = rk(t, y, h)
+    return y1
 
 
 def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,

@@ -130,14 +130,11 @@ def _clip_halfplane(poly, a, b, c):
         q = poly[(i + 1) % n]
         fp = a * p[0] + b * p[1] - c
         fq = a * q[0] + b * q[1] - c
-        if fq <= 0.0:
-            if fp > 0.0:
-                t = fp / (fp - fq)
-                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-            out.append(q)
-        elif fp <= 0.0:
+        if (fp > 0.0) != (fq > 0.0):
             t = fp / (fp - fq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        if fq <= 0.0:
+            out.append(q)
     return out
 
 
@@ -428,13 +425,9 @@ def _j_evaluator(k_p: float, k_d: float, k_e: float, b_e: float, m_t: float,
     lo = min(K1, B1)
     if lo <= 0.0:
         raise ValueError("switched-system parameters must be positive")
-    k_lo, k_hi, b_lo, b_hi = box.k_f_min, box.k_f_max, box.b_f_min, box.b_f_max
-    wk = k_hi - k_lo
-    wb = b_hi - b_lo
+    (wk, wb), (mk, mb) = box.widths, box.mid
     ck = (2.0 / wk) ** 2 if wk > 0.0 else 0.0
     cb = (2.0 / wb) ** 2 if wb > 0.0 else 0.0
-    mk = 0.5 * (k_lo + k_hi)
-    mb = 0.5 * (b_lo + b_hi)
     arc = _lambda_mode
 
     def cost(k_f: float, b_f: float) -> float:

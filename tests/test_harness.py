@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import math
 import os
 
@@ -205,6 +206,7 @@ def test_unknown_preset_raises():
 @pytest.mark.parametrize("bad", [
     dict(duration=-1.0), dict(approach_speed=0.0),
     # each of these used to construct and fail only inside run()
+    dict(seed=-1), dict(seed=1.5), dict(contact_debounce=2.5),
     dict(k_e_min=600.0), dict(k_p=-1.0), dict(b_f_min=50.0), dict(m_t=0.0),
     dict(k_e=-1.0), dict(tau_att=-1.0), dict(L_f=0.0), dict(omega_n=0.0),
     dict(noise_f_f=-0.1), dict(friction=-1.0),
@@ -301,6 +303,15 @@ def test_bench_scheduler_rows_and_ordering(tmp_path):
     assert len(lines) == 3
     with pytest.raises(ValueError, match="at least one N"):
         harness.bench_scheduler([])
+    # the timed calls run without the collector, which is then left as it was
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            harness.bench_scheduler([20], reps=1)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # ---------------------------------------------------------------------------
@@ -397,3 +408,27 @@ def test_cli_sweep_workers_bounded_by_scenarios(tmp_path, monkeypatch, capsys):
         assert exc.value.code == 2
     assert seen == []
     assert "--jobs" in capsys.readouterr().err
+
+
+def test_cli_sweep_refuses_clashing_names_before_any_run(tmp_path, monkeypatch,
+                                                          capsys):
+    # scenarios of one name would write the same files; each is resolved in
+    # the parent, so a clash or an unknown preset stops the sweep before the
+    # pool exists
+    seen = []
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers=None: RecordingPool(seen, max_workers))
+    scns = []
+    for k_e in (150.0, 300.0):              # default name: both are "custom"
+        scns.append(str(tmp_path / f"k{k_e:.0f}.json"))
+        Scenario(k_e=k_e, duration=0.02).to_json(scns[-1])
+    out = tmp_path / "o"
+    assert cli.main(["sweep", *scns, "--out", str(out)]) == 2
+    assert "custom" in capsys.readouterr().err
+    assert cli.main(["sweep", "experiment1-slow", scns[0], "experiment1-slow",
+                     "--out", str(out), "--duration", "0.02"]) == 2
+    assert "experiment1-slow" in capsys.readouterr().err
+    with pytest.raises(KeyError):
+        cli.main(["sweep", scns[0], "experiment9", "--out", str(out)])
+    assert seen == []
+    assert list(tmp_path.rglob("*_log.csv")) == []

@@ -5,7 +5,8 @@ import pytest
 
 from uamsim.plant import (DisturbanceConfig, Measurement, MeasurementNoise,
                           PlantConfig, PlantState, SurfaceModel, contact_force,
-                          measure, step, thrust_direction)
+                          _step_with_events, measure, step,
+                          thrust_direction)
 
 from plant_reference import draw, dynamics, reference_step, rk4, rotation
 
@@ -130,6 +131,49 @@ def test_step_contact_bounce_matches_fine_reference():
     fine = simulate(1e-5)
     assert fine > 0.005
     assert abs(coarse - fine) / fine < 0.01
+
+
+def _recorded_event_split(rk_y0, y0, y1):
+    """Run _step_with_events with a recording rk on the x = 0 plane."""
+    s = SurfaceModel(B_f=(1.0, 0.0, 0.0),
+                     B_m=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                     p_s=(0.0, 0.0, 0.0))
+    steps = []
+
+    def rk(t, y, h):
+        steps.append(h)
+        return (rk_y0(y, h), *y[1:])
+
+    return _step_with_events(rk, s, y0, y1, 0.0, 1e-3), steps
+
+
+def test_step_with_events_stops_after_max_splits():
+    # every rk step flips the penetration to -/+ h: each bisection ends on
+    # the tolerance after 10 halvings, and the remainder crosses again
+    y0 = (1e-4,) + (0.0,) * 8
+    y, steps = _recorded_event_split(lambda y, h: -h if y[0] > 0.0 else h,
+                                     y0, (-1e-3,) + y0[1:])
+    assert len(steps) == 88
+    assert sum(h > 5e-4 for h in steps) == 8    # one remainder per split
+    assert y[0] == -0.00099221415079041
+
+
+def test_step_with_events_returns_full_step_when_no_substep_crosses():
+    # only the full step crosses: bisection never moves hi off h, so there is
+    # no remainder and y1 comes back
+    y0 = (1e-4,) + (0.0,) * 8
+    y1 = (-1e-3,) + y0[1:]
+    y, steps = _recorded_event_split(lambda y, h: y[0], y0, y1)
+    assert len(steps) == 60
+    assert y is y1
+
+
+def test_step_with_events_accepts_crossing_within_tolerance():
+    y0 = (1e-4,) + (0.0,) * 8
+    y1 = (-5e-7,) + y0[1:]
+    y, steps = _recorded_event_split(lambda y, h: y[0], y0, y1)
+    assert steps == []
+    assert y is y1
 
 
 def test_step_rejects_nonfinite():

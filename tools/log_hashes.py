@@ -1,9 +1,13 @@
-"""Print the behaviour fingerprint of the closed loop: one log hash per scenario.
+"""Print the behaviour fingerprint of the closed loop and of schedule().
 
-Each hash is the sha256 of `log.data.tobytes()` followed by `repr(log.events)`.
-The scenarios are the four presets at seed 901 and the two soft-noisy
-scenarios of benchmark seeds 901 and 902. A change meant to keep behaviour
-prints the same lines before and after.
+Each log hash is the sha256 of `log.data.tobytes()` followed by
+`repr(log.events)`. The scenarios are the four presets at seed 901 and the
+two soft-noisy scenarios of benchmark seeds 901 and 902. The ninth line,
+`schedule-draws/7`, is the sha256 of `repr(schedule(...))` over 1000 draws
+from `default_rng(7)`: k_p~U(5,60), k_d~U(5,40), k_e~U(5,500),
+b_e~U(0.1,1.5), m~U(2,6) in that order, with the gain box cycling through
+the four of DRAW_BOXES. A change meant to keep behaviour prints the same
+lines before and after.
 
     PYTHONPATH=src python tools/log_hashes.py [--check BENCH_<tag>.json]
 
@@ -21,8 +25,15 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 os.pardir, "perfbench"))
 
+import numpy as np  # noqa: E402
+
 from uamsim import harness  # noqa: E402
+from uamsim.scheduler import GainBox, schedule  # noqa: E402
 from workloads import PRESETS, scenarios  # noqa: E402
+
+DRAW_BOXES = (GainBox(), GainBox(0.1, 1.0, 10.0, 200.0),
+              GainBox(0.5, 0.5, 20.0, 20.0), GainBox(0.2, 0.2, 10.0, 40.0))
+DRAW_RANGES = ((5, 60), (5, 40), (5, 500), (0.1, 1.5), (2, 6))
 
 
 def log_hash(scenario: harness.Scenario) -> str:
@@ -30,6 +41,23 @@ def log_hash(scenario: harness.Scenario) -> str:
     h = hashlib.sha256(log.data.tobytes())
     h.update(repr(log.events).encode())
     return h.hexdigest()
+
+
+def schedule_hash(seed: int) -> str:
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for i in range(1000):
+        k_p, k_d, k_e, b_e, m = (rng.uniform(lo, hi) for lo, hi in DRAW_RANGES)
+        box = DRAW_BOXES[i % len(DRAW_BOXES)]
+        h.update(repr(schedule(k_p, k_d, k_e, b_e, m, box)).encode())
+    return h.hexdigest()
+
+
+def fingerprint(runs):
+    """(label, hash) of each run's log, then of the schedule() draws."""
+    for label, sc in runs:
+        yield label, log_hash(sc)
+    yield "schedule-draws/7", schedule_hash(7)
 
 
 def main(argv=None) -> int:
@@ -47,17 +75,17 @@ def main(argv=None) -> int:
         runs += [(f"soft-noisy {s} {sc.name}", sc)
                  for sc in scenarios("soft-noisy", s)]
     differ = []
-    for label, sc in runs:
-        h = log_hash(sc)
+    for label, h in fingerprint(runs):
         print(f"{label} {h}", flush=True)
         if expected is not None and expected.get(label) != h:
             differ.append(label)
+    n = len(runs) + 1
     if differ:
-        print(f"{len(differ)} of {len(runs)} hashes differ from {args.check}: "
+        print(f"{len(differ)} of {n} hashes differ from {args.check}: "
               + "; ".join(differ), file=sys.stderr)
         return 1
     if expected is not None:
-        print(f"all {len(runs)} hashes match {args.check}")
+        print(f"all {n} hashes match {args.check}")
     return 0
 
 
