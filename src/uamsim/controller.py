@@ -85,7 +85,7 @@ def dob_update(dob: DOBState, meas: Measurement, u_bar_f: float, u_bar_m,
     a = math.exp(-gains.L_f * dt)
     z_f = a * dob.z_f + (1.0 - a) * s_f
 
-    g0, g1 = surface.B_m_z
+    g0, g1 = surface.B_m_rows[2]
     u0, u1 = u_bar_m
     v0, v1 = meas.x_dot_m
     z0, z1 = dob.z_m
@@ -115,7 +115,7 @@ def control_motion(ref: ReferenceState, meas: Measurement, delta_m_hat,
     """Desired motion-plane input, N (2-vector)."""
     m_bar, K_mp, K_md = gains.m_bar, gains.K_mp, gains.K_md
     mg = m_bar * gains.g_bar
-    g0, g1 = surface.B_m_z
+    g0, g1 = surface.B_m_rows[2]
     r0, r1 = ref.x_mr
     rd0, rd1 = ref.x_mr_dot
     rdd0, rdd1 = ref.x_mr_ddot
@@ -126,9 +126,14 @@ def control_motion(ref: ReferenceState, meas: Measurement, delta_m_hat,
             m_bar * rdd1 + K_md * (rd1 - xd1) + K_mp * (r1 - x1) + mg * g1 - d1)
 
 
-def compose_u(u_bar_f: float, u_bar_m, surface: SurfaceModel) -> np.ndarray:
+def compose_u(u_bar_f: float, u_bar_m, surface: SurfaceModel) -> tuple:
     """Recombine force/motion inputs into the inertial desired input."""
-    return u_bar_f * surface.B_f + surface.B_m.dot(u_bar_m)
+    b0, b1, b2 = surface.B_f_floats
+    (m00, m01), (m10, m11), (m20, m21) = surface.B_m_rows
+    u0, u1 = u_bar_m
+    return (u_bar_f * b0 + (m00 * u0 + m01 * u1),
+            u_bar_f * b1 + (m10 * u0 + m11 * u1),
+            u_bar_f * b2 + (m20 * u0 + m21 * u1))
 
 
 @lru_cache(maxsize=16)
@@ -150,7 +155,9 @@ def extract_inputs(u_bar_e, phi) -> tuple[float, float, float]:
     phi_x, phi_y, phi_z = phi
     if abs(phi_x) >= 0.5 * math.pi or abs(phi_y) >= 0.5 * math.pi:
         raise InfeasibleInput("roll/pitch at extraction singularity")
-    a_x, a_y, a_z = _psi(phi_z).dot(u_bar_e).tolist()
+    c, s = math.cos(phi_z), math.sin(phi_z)
+    u0, u1, a_z = u_bar_e
+    a_x, a_y = c * u0 + s * u1, s * u0 - c * u1            # Psi u_bar_e
     if a_z <= 0.0:
         raise InfeasibleInput("desired input has no upward component")
     T = a_z / (math.cos(phi_x) * math.cos(phi_y))

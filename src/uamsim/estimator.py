@@ -52,9 +52,7 @@ class EnvEstimate:
 
 def _lambda_max(a: float, b: float, c: float) -> float:
     """Largest eigenvalue of the symmetric matrix [[a, b], [b, c]]."""
-    h = 0.5 * (a + c)
-    r = math.sqrt(max(0.25 * (a - c) ** 2 + b * b, 0.0))
-    return h + r
+    return 0.5 * (a + c) + math.sqrt(max(0.25 * (a - c) ** 2 + b * b, 0.0))
 
 
 def rlse_update(est: EnvEstimate, x_f: float, x_dot_f: float, f_f: float,
@@ -67,33 +65,27 @@ def rlse_update(est: EnvEstimate, x_f: float, x_dot_f: float, f_f: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    vals = (x_f, x_dot_f, f_f, x_fs)
-    if not all(math.isfinite(v) for v in vals):
+    if not all(map(math.isfinite, (x_f, x_dot_f, f_f, x_fs))):
         raise ValueError("non-finite estimator inputs")
 
-    Y = np.array([-(x_f - x_fs), -x_dot_f])           # 1x2 regressor
-
-    # BLAS rounds the two products; the elementwise rest is scalar
-    py0, py1 = est.P.dot(Y).tolist()
-    eps = f_f - float(Y.dot(np.array([est.k_hat, est.b_hat])))
+    y0, y1 = -(x_f - x_fs), -x_dot_f                 # 1x2 regressor Y
+    (p00, p01), (p10, p11) = est.P.tolist()
+    py0, py1 = p00 * y0 + p01 * y1, p10 * y0 + p11 * y1        # P Y
+    eps = f_f - (y0 * est.k_hat + y1 * est.b_hat)              # f_f - Y theta
 
     # P + dt (mu1 P - mu2 PY PY^T), then symmetrized as 0.5 (P + P^T)
-    (p00, p01), (p10, p11) = est.P.tolist()
     n00 = p00 + dt * (cfg.mu1 * p00 - cfg.mu2 * (py0 * py0))
     n01 = p01 + dt * (cfg.mu1 * p01 - cfg.mu2 * (py0 * py1))
     n10 = p10 + dt * (cfg.mu1 * p10 - cfg.mu2 * (py1 * py0))
     n11 = p11 + dt * (cfg.mu1 * p11 - cfg.mu2 * (py1 * py1))
     d0, off, d1 = 0.5 * (n00 + n00), 0.5 * (n01 + n10), 0.5 * (n11 + n11)
-    if _lambda_max(d0, off, d1) > cfg.rho_M:
-        P_new = est.P                                  # freeze
-    else:
-        P_new = np.array([[d0, off], [off, d1]])
+    frozen = _lambda_max(d0, off, d1) > cfg.rho_M
 
-    # P_new is already a 2x2 float array: skip __post_init__'s conversion
+    # P is a 2x2 float array either way: skip __post_init__'s conversion
     out = object.__new__(EnvEstimate)
     out.k_hat = min(max(est.k_hat + dt * py0 * eps, cfg.k_min), cfg.k_max)
     out.b_hat = min(max(est.b_hat + dt * py1 * eps, cfg.b_min), cfg.b_max)
-    out.P = P_new
+    out.P = est.P if frozen else np.array([[d0, off], [off, d1]])
     return out
 
 

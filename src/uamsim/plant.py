@@ -48,7 +48,7 @@ class SurfaceModel:
     b_e: float = 0.5
     x_fs: float = field(init=False)   # coordinate of p_s along B_f
     B_f_floats: tuple = field(init=False, repr=False)   # B_f as three floats
-    B_m_z: tuple = field(init=False, repr=False)        # row 2 of B_m, two floats
+    B_m_rows: tuple = field(init=False, repr=False)     # B_m as three 2-tuples
 
     def __post_init__(self):
         self.B_f = np.asarray(self.B_f, dtype=float).reshape(3)
@@ -62,7 +62,7 @@ class SurfaceModel:
             raise ValueError(f"[B_f B_m] not orthonormal (max deviation {err:.3e})")
         self.x_fs = float(self.B_f @ self.p_s)
         self.B_f_floats = tuple(self.B_f.tolist())
-        self.B_m_z = tuple(self.B_m[2].tolist())
+        self.B_m_rows = tuple(map(tuple, self.B_m.tolist()))
         # the plant step's surface constants: k_e, b_e, x_fs, B_f
         self._consts = (self.k_e, self.b_e, self.x_fs, *self.B_f_floats)
 
@@ -367,11 +367,13 @@ def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
 def measure(state: PlantState, surface: SurfaceModel, cfg: PlantConfig,
             rng: np.random.Generator | None = None) -> Measurement:
     """Project the true state onto force/motion coordinates, with sensor noise."""
-    p_e, v_e = np.array(state.p_e), np.array(state.v_e)
-    x_f = float(surface.B_f.dot(p_e))
-    x_dot_f = float(surface.B_f.dot(v_e))
-    x_m = tuple(surface.B_m.T.dot(p_e).tolist())
-    x_dot_m = tuple(surface.B_m.T.dot(v_e).tolist())
+    (px, py, pz), (vx, vy, vz) = state.p_e, state.v_e
+    bx, by, bz = surface.B_f_floats
+    (m00, m01), (m10, m11), (m20, m21) = surface.B_m_rows
+    x_f = bx * px + by * py + bz * pz
+    x_dot_f = bx * vx + by * vy + bz * vz
+    x_m = (m00 * px + m10 * py + m20 * pz, m01 * px + m11 * py + m21 * pz)
+    x_dot_m = (m00 * vx + m10 * vy + m20 * vz, m01 * vx + m11 * vy + m21 * vz)
     f_f = contact_force(x_f, x_dot_f, surface)
     n = cfg.noise
     if rng is not None and n._any:

@@ -9,7 +9,8 @@ through the estimated surface model so the two stay consistent:
 
     x_fr'' = -(k_hat/b_hat) x_fr' - (1/b_hat) f_fr'
 
-Mode hand-offs keep position/velocity references continuous. The
+Both modes take the exact step of their linear system over a controller
+period. Mode hand-offs keep position/velocity references continuous. The
 motion-plane references are tuples of two Python floats.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .estimator import EnvEstimate
 from .plant import as_floats
@@ -60,27 +62,38 @@ def _setpoint(x_md) -> tuple[float, float]:
     return x_md
 
 
-def _track(x, v, target, wn: float, dt: float):
-    """One RK4 step of x'' = -2 wn x' - wn^2 (x - target) for each coordinate.
+_PHI2_TAYLOR = tuple(1.0 / math.factorial(k + 2) for k in range(10))  # z^k
 
-    This is a generic RK4 step unrolled per coordinate, with its operation
-    order, so the tests can check it bit for bit against one. Returns the
-    positions, velocities and accelerations after the step.
-    """
-    h2, h6 = 0.5 * dt, dt / 6.0
-    c1, w2 = -2.0 * wn, wn * wn
+
+def _phi12(z: float) -> tuple[float, float]:
+    """phi_1(z) = (e^z - 1)/z and phi_2(z) = (phi_1(z) - 1)/z. For |z| < 0.2,
+    where the quotients cancel, phi_2 is its Taylor series (to 5e-16)."""
+    if abs(z) >= 0.2:
+        p1 = math.expm1(z) / z
+        return p1, (p1 - 1.0) / z
+    p2 = sum(c * z ** k for k, c in enumerate(_PHI2_TAYLOR))
+    return 1.0 + z * p2, p2
+
+
+@lru_cache(maxsize=16)
+def _tracker(wn: float, dt: float) -> tuple[float, float, float, float]:
+    """(cv, ce, dv, de) of the exact step of x'' = -2 wn x' - wn^2 e, e = x - c:
+    dx = cv x' - ce e and x'(dt) = dv x' - de e. With z = wn dt, ce is
+    1 - (1 + z) exp(-z) = z^2 exp(-z) phi_2(z), without its cancellation."""
+    if wn <= 0.0:
+        raise ValueError("omega_n must be positive")
+    z, ew = wn * dt, math.exp(-wn * dt)
+    return dt * ew, z * z * ew * _phi12(z)[1], (1.0 - z) * ew, wn * z * ew
+
+
+def _track(x, v, target, wn: float, dt: float):
+    """Positions, velocities and accelerations after one exact tracker step."""
+    cv, ce, dv, de = _tracker(wn, dt)
     out = []
-    for x1, v1, c in zip(x, v, target):
-        a1 = c1 * v1 - w2 * (x1 - c)
-        x2, v2 = x1 + h2 * v1, v1 + h2 * a1
-        a2 = c1 * v2 - w2 * (x2 - c)
-        x3, v3 = x1 + h2 * v2, v1 + h2 * a2
-        a3 = c1 * v3 - w2 * (x3 - c)
-        x4, v4 = x1 + dt * v3, v1 + dt * a3
-        a4 = c1 * v4 - w2 * (x4 - c)
-        xn = x1 + h6 * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        vn = v1 + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        out.append((xn, vn, -2.0 * wn * vn - wn ** 2 * (xn - c)))
+    for x0, v0, c in zip(x, v, target):
+        e0 = x0 - c
+        x1, v1 = x0 + (cv * v0 - ce * e0), dv * v0 - de * e0
+        out.append((x1, v1, -2.0 * wn * v1 - wn * wn * (x1 - c)))
     return zip(*out)
 
 
@@ -89,8 +102,6 @@ def free_step(ref: ReferenceState, x_fd: float, x_md, omega_n: float,
     """Advance the free-flight generator one controller step."""
     if ref.mode != FREE:
         raise ValueError("free_step called while not in free mode")
-    if omega_n <= 0.0:
-        raise ValueError("omega_n must be positive")
     xs, vs, acc = _track((ref.x_fr, *ref.x_mr), (ref.x_fr_dot, *ref.x_mr_dot),
                          (x_fd, *_setpoint(x_md)), omega_n, dt)
     return _reference(xs[0], vs[0], acc[0], 0.0, 0.0, xs[1:], vs[1:], acc[1:],
@@ -99,45 +110,31 @@ def free_step(ref: ReferenceState, x_fd: float, x_md, omega_n: float,
 
 def contact_step(ref: ReferenceState, f_fd: float, x_md, est: EnvEstimate,
                  omega_n: float, dt: float) -> ReferenceState:
-    """Advance the contact generator one controller step.
+    """Advance the contact generator one controller step, exactly.
 
-    The coupled (f_fr, x_fr) system is integrated with RK4; the position
-    equation has a pole at -k_hat/b_hat which can be much faster than the
-    controller rate, so the step is subdivided to keep the integration
-    stable for any admissible estimate.
+    Between estimator updates the (f_fr, x_fr) system is linear, with poles
+    -w, -w (w = omega_n) and -k/b (k_hat/b_hat), and a step costs the same
+    for any of them. With d = (w - k/b) dt and q = (f_fr' + w (f_fr - f_fd)) dt
+    at the start, variation of constants gives x_fr'(dt) = x_fr' exp(-k/b dt)
+    - (dt/b) exp(-w dt) (f_fr' phi_1(d) - w q phi_2(d)), exact at the double
+    pole d = 0 too; x_fr follows from the slaving k dx_fr + b dx_fr' = -df_fr.
     """
     if ref.mode != CONTACT:
         raise ValueError("contact_step called while not in contact mode")
-    if omega_n <= 0.0:
-        raise ValueError("omega_n must be positive")
-    if not est.b_hat > 0.0:
-        raise ValueError("estimated damping b_hat must be positive")
-    kb = est.k_hat / est.b_hat
-    inv_b = 1.0 / est.b_hat
-
-    n_sub = max(1, math.ceil(kb * dt / 0.5))
-    h = dt / n_sub
-    h2, h6 = 0.5 * h, h / 6.0
-    c1, w2, nkb = -2.0 * omega_n, omega_n ** 2, -kb
-
-    # a generic RK4 step on y = [f, f', x, x'] unrolled, with its operation
-    # order; x does not enter the derivative, so its stages are never formed
-    f, fd, x, v = ref.f_fr, ref.f_fr_dot, ref.x_fr, ref.x_fr_dot
-    for _ in range(n_sub):
-        a1, b1 = c1 * fd - w2 * (f - f_fd), nkb * v - inv_b * fd
-        f2, fd2, v2 = f + h2 * fd, fd + h2 * a1, v + h2 * b1
-        a2, b2 = c1 * fd2 - w2 * (f2 - f_fd), nkb * v2 - inv_b * fd2
-        f3, fd3, v3 = f + h2 * fd2, fd + h2 * a2, v + h2 * b2
-        a3, b3 = c1 * fd3 - w2 * (f3 - f_fd), nkb * v3 - inv_b * fd3
-        f4, fd4, v4 = f + h * fd3, fd + h * a3, v + h * b3
-        a4, b4 = c1 * fd4 - w2 * (f4 - f_fd), nkb * v4 - inv_b * fd4
-        f, fd, x, v = (f + h6 * (fd + 2.0 * fd2 + 2.0 * fd3 + fd4),
-                       fd + h6 * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-                       x + h6 * (v + 2.0 * v2 + 2.0 * v3 + v4),
-                       v + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
+    if not (est.k_hat > 0.0 and est.b_hat > 0.0):
+        raise ValueError("estimates k_hat and b_hat must be positive")
+    b, kb = est.b_hat, est.k_hat / est.b_hat
+    cv, ce, dv, de = _tracker(omega_n, dt)           # cv = dt exp(-w dt)
+    e0, fd0, v0 = ref.f_fr - f_fd, ref.f_fr_dot, ref.x_fr_dot
+    df, fd1 = cv * fd0 - ce * e0, dv * fd0 - de * e0
+    p1, p2 = _phi12((omega_n - kb) * dt)
+    q = (fd0 + omega_n * e0) * dt
+    v1 = v0 * math.exp(-kb * dt) - cv / b * (fd0 * p1 - omega_n * q * p2)
+    x1 = ref.x_fr - (b * (v1 - v0) + df) / est.k_hat
 
     xm, vm, am = _track(ref.x_mr, ref.x_mr_dot, _setpoint(x_md), omega_n, dt)
-    return _reference(x, v, -kb * v - inv_b * fd, f, fd, xm, vm, am, CONTACT)
+    return _reference(x1, v1, -kb * v1 - fd1 / b, ref.f_fr + df, fd1, xm, vm,
+                      am, CONTACT)
 
 
 def switch_mode(ref: ReferenceState, new_mode: str,

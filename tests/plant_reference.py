@@ -1,10 +1,10 @@
 """Reference integration of the plant: a generic RK4 step on lists of floats
 and the plant's derivative as a function of the whole 9-float state.
 
-plant.step and the reference generator integrate with RK4 steps unrolled by
-hand; the tests check them bit for bit against rk4 on these derivatives,
-and the float paths of the controller against their numpy forms, on
-values from draw. E3 and rotation are the full-matrix kinematics that the
+plant.step integrates with an RK4 step unrolled by hand; the tests check it
+bit for bit against rk4 on these derivatives, the reference generator's
+exact steps against rk4 within its error, and the float paths of the
+controller against their numpy forms, on values from draw. E3 and rotation are the full-matrix kinematics that the
 tests check the plant's and the controller's closed forms against.
 """
 

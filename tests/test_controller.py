@@ -8,7 +8,8 @@ from uamsim.controller import (DOBState, GainSet, InfeasibleInput, compose_u,
                                control_force, control_motion, dob_estimates,
                                dob_update, extract_inputs, invert_inputs,
                                recompose)
-from uamsim.plant import Measurement, SurfaceModel
+from uamsim.estimator import RlseConfig, rlse_update
+from uamsim.plant import Measurement, PlantConfig, PlantState, SurfaceModel, measure
 from uamsim.reference import CONTACT, FREE, ReferenceState
 
 from plant_reference import E3, draw
@@ -119,8 +120,9 @@ def test_dob_force_term_only_in_contact():
 
 
 def test_dob_and_motion_law_equal_numpy_forms_bit_for_bit():
-    # the float arithmetic of the observers, the motion law and the
-    # extraction must give exactly what their numpy vector forms give
+    # the float arithmetic of the observers and the motion law must give
+    # exactly what their numpy vector forms give, and the extraction within
+    # 1e-12 relative of its form with the matrix Psi
     rng = np.random.default_rng(21)
     for i in range(500):
         s = SurfaceModel.from_tilt(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
@@ -165,25 +167,54 @@ def test_dob_and_motion_law_equal_numpy_forms_bit_for_bit():
         except InfeasibleInput:
             assert abs(a[1] / T) > 1.0 or abs(a[0] / (T * math.cos(phi[0]))) > 1.0
             continue
-        assert out == (T, math.asin(a[1] / T), math.asin(a[0] / (T * math.cos(phi[0]))))
+        assert out == pytest.approx(
+            (T, math.asin(a[1] / T), math.asin(a[0] / (T * math.cos(phi[0])))),
+            rel=1e-12, abs=0.0)
 
 
 def test_dot_products_equal_matmul_bit_for_bit():
-    # measure, compose_u, extract_inputs, invert_inputs and rlse_update take
-    # their eight numpy products with .dot; on the operand layouts they use
-    # (B_f and p_e, the transposed view B_m.T, B_m and a 2-tuple, the
-    # memoised _psi, P and Y, Y and theta) .dot must round as @ does
+    # invert_inputs takes the one numpy product left in the loop,
+    # _psi(yaw).dot(u_bar_e), with .dot; on the memoised read-only _psi it
+    # must round as @ does
     rng = np.random.default_rng(31)
     for _ in range(20000):
-        B_f, p_e, u_e = draw(rng, (3, 3))
-        B_m = draw(rng, (3, 2))
-        u_m = tuple(draw(rng, 2).tolist())
+        u_e = draw(rng, 3)
         psi = ctl._psi(rng.uniform(-math.pi, math.pi))
-        P = draw(rng, (2, 2))
-        Y, theta = draw(rng, (2, 2))
-        for a, b in ((B_f, p_e), (B_m.T, p_e), (B_m, u_m), (psi, u_e),
-                     (P, Y), (Y, theta)):
-            assert a.dot(b).tobytes() == (a @ b).tobytes()
+        assert psi.dot(u_e).tobytes() == (psi @ u_e).tobytes()
+
+
+def test_tick_calls_return_python_floats():
+    # measure, compose_u, extract_inputs and rlse_update work on floats and
+    # hand on floats or tuples of them; EnvEstimate.P stays a 2x2 array. The
+    # projections agree with their matrix forms within 1e-12 m (noise-free)
+    rng = np.random.default_rng(41)
+    cfg, rcfg = PlantConfig(), RlseConfig()
+    est = rcfg.initial_estimate()
+    for _ in range(200):
+        s = SurfaceModel.from_tilt(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0))
+        p, v = rng.uniform(-3.0, 3.0, 3), rng.normal(size=3)
+        m = measure(PlantState(p_e=p, v_e=v, phi=(0.0, 0.0, 0.0)), s, cfg)
+        assert all(type(x) is float for x in (m.x_f, m.x_dot_f, m.f_f))
+        assert all(type(x) is float for x in (*m.x_m, *m.x_dot_m))
+        assert abs(m.x_f - s.B_f @ p) <= 1e-12
+        assert abs(m.x_dot_f - s.B_f @ v) <= 1e-12
+        assert np.abs(np.array(m.x_m) - s.B_m.T @ p).max() <= 1e-12
+        assert np.abs(np.array(m.x_dot_m) - s.B_m.T @ v).max() <= 1e-12
+
+        u_f, u_m = rng.uniform(-50.0, 50.0), tuple(rng.uniform(-20.0, 20.0, 2).tolist())
+        u_e = compose_u(u_f, u_m, s)
+        assert type(u_e) is tuple and len(u_e) == 3
+        assert all(type(x) is float for x in u_e)
+        assert np.allclose(u_e, u_f * s.B_f + s.B_m @ u_m, rtol=0.0, atol=1e-12)
+        # a vertical component well above the horizontal ones: feasible
+        u_up = (u_e[0], u_e[1], abs(u_e[2]) + 200.0)
+        out = extract_inputs(u_up, tuple(rng.uniform(-0.3, 0.3, 3).tolist()))
+        assert type(out) is tuple and all(type(x) is float for x in out)
+
+        est = rlse_update(est, m.x_f, m.x_dot_f, m.f_f, m.x_f - 0.01, rcfg, 2e-3)
+        assert type(est.k_hat) is float and type(est.b_hat) is float
+        assert type(est.P) is np.ndarray
+        assert est.P.shape == (2, 2) and est.P.dtype == np.float64
 
 
 def test_psi_memoised_read_only_and_fresh():

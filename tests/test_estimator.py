@@ -86,10 +86,10 @@ def test_zero_regressor_keeps_theta():
     assert est.b_hat == pytest.approx(0.7)
 
 
-def test_update_equals_matrix_form_bit_for_bit():
+def test_update_matches_matrix_form():
     # the scalar update must reproduce the RLSE step written with numpy
-    # arrays, including the freeze, the clamping and the symmetrization of
-    # a slightly asymmetric P
+    # arrays within 1e-12 relative, including the freeze, the clamping and
+    # the symmetrization of a slightly asymmetric P
     cfg = make_cfg(rho_M=300.0)
     rng = np.random.default_rng(8)
     frozen = 0
@@ -111,9 +111,12 @@ def test_update_equals_matrix_form_bit_for_bit():
         if lambda_max_2x2(P_new) > cfg.rho_M:
             P_new = P
             frozen += 1
-        assert out.k_hat == min(max(theta[0], cfg.k_min), cfg.k_max)
-        assert out.b_hat == min(max(theta[1], cfg.b_min), cfg.b_max)
-        assert np.array_equal(out.P, P_new)
+            assert out.P is est.P
+        assert out.k_hat == pytest.approx(min(max(theta[0], cfg.k_min), cfg.k_max),
+                                          rel=1e-12, abs=0.0)
+        assert out.b_hat == pytest.approx(min(max(theta[1], cfg.b_min), cfg.b_max),
+                                          rel=1e-12, abs=0.0)
+        assert np.allclose(out.P, P_new, rtol=1e-12, atol=0.0)
     assert 0 < frozen < 500
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from uamsim.estimator import EnvEstimate
 from uamsim.reference import (CONTACT, FREE, ReferenceState, contact_step,
@@ -91,8 +92,8 @@ def test_contact_step_derivative_consistency():
 
 
 def test_contact_step_stable_at_extreme_estimates():
-    # fastest admissible pole: k_hat/b_hat = 5000 1/s; the substepping must
-    # keep the integration stable at the controller rate
+    # fastest admissible pole: k_hat/b_hat = 5000 1/s, ten times the
+    # controller rate; the exact step is stable at any pole
     est = EnvEstimate(k_hat=500.0, b_hat=0.1, P=np.eye(2))
     ref = ReferenceState(x_fr=0.0, mode=CONTACT)
     for _ in range(2500):
@@ -137,55 +138,120 @@ def generic_track(x, v, target, wn, dt):
     return y[:n], y[n:], acc
 
 
-def test_free_step_equals_generic_rk4_bit_for_bit():
+def expm_step(A, y0, dt):
+    """expm(A dt) y0 and, per component, the sum of the magnitudes of the
+    terms it adds up: the scale that a relative error is taken against."""
+    M = expm(A * dt)
+    return M @ y0, np.abs(M) @ np.abs(y0)
+
+
+def tracker_system(wn):
+    # y = [x, x', target]: the tracker with its setpoint as a constant state
+    return np.array([[0.0, 1.0, 0.0], [-wn * wn, -2.0 * wn, wn * wn],
+                     [0.0, 0.0, 0.0]])
+
+
+def contact_system(kb, inv_b, wn):
+    # y = [f, f', x, x', f_fd], the Van Loan form of the forced generator
+    A = np.zeros((5, 5))
+    A[0, 1] = A[2, 3] = 1.0
+    A[1, :2], A[1, 4] = (-wn * wn, -2.0 * wn), wn * wn
+    A[3, 1], A[3, 3] = -inv_b, -kb
+    return A
+
+
+def within_rk4_error(y_exact, y_n, y_2n, scale):
+    # the step-doubling estimate of RK4's error, |y_n - y_2n| ~ 15/16 of
+    # y_n's error, with a factor 2 to spare; the floor covers rounding
+    for e, a, b, s in zip(y_exact, y_n, y_2n, scale):
+        assert abs(e - a) <= 2.0 * abs(a - b) + 1e-12 * s
+
+
+def test_free_step_matches_expm_and_rk4():
+    # the closed-form tracker is the exact solution of the linear system:
+    # expm of it within 1e-12 relative, and RK4 within RK4's own error
     rng = np.random.default_rng(5)
     for _ in range(200):
         x, v, target = draw(rng, (3, 3)).tolist()
         wn = rng.uniform(1.0, 30.0)
         ref = ReferenceState(x_fr=x[0], x_fr_dot=v[0], x_mr=x[1:], x_mr_dot=v[1:])
         out = free_step(ref, target[0], target[1:], wn, DT)
-        xs, vs, acc = generic_track(x, v, target, wn, DT)
-        assert [out.x_fr, *out.x_mr] == xs
-        assert [out.x_fr_dot, *out.x_mr_dot] == vs
-        assert [out.x_fr_ddot, *out.x_mr_ddot] == acc
+        xs, vs = [out.x_fr, *out.x_mr], [out.x_fr_dot, *out.x_mr_dot]
+        steps = [expm_step(tracker_system(wn), np.array(y0), DT)
+                 for y0 in zip(x, v, target)]
+        for a, (exact, scale) in zip(zip(xs, vs), steps):
+            for a_i, e_i, s_i in zip(a, exact, scale):
+                assert abs(a_i - e_i) <= 1e-12 * s_i
+        assert [out.x_fr_ddot, *out.x_mr_ddot] == [
+            -2.0 * wn * vv - wn * wn * (xx - c) for xx, vv, c in zip(xs, vs, target)]
+        y_1 = generic_track(x, v, target, wn, DT)
+        y_2 = generic_track(*generic_track(x, v, target, wn, DT / 2)[:2], target,
+                            wn, DT / 2)
+        within_rk4_error(xs + vs, y_1[0] + y_1[1], y_2[0] + y_2[1],
+                         [s[0] for _, s in steps] + [s[1] for _, s in steps])
 
 
-def test_contact_step_equals_generic_rk4_bit_for_bit():
-    # the unrolled substeps must reproduce n_sub generic rk4 steps of
-    # y' = [f', -2 wn f' - wn^2 (f - f_fd), x', -(k/b) x' - f'/b] exactly
+def test_contact_step_matches_expm_and_rk4():
+    # the exact step of y' = [f', -2 wn f' - wn^2 (f - f_fd), x', -(k/b) x' - f'/b]
+    # agrees with expm within 1e-12 relative, at the double pole k/b = wn
+    # and next to it as well, and with the substepped RK4 it replaced within
+    # RK4's own error
     rng = np.random.default_rng(6)
-    seen = set()
+    draws = []
     for n_sub in range(1, 11):
         for _ in range(20):
             b_hat = rng.uniform(0.1, 1.0)
-            # k_hat/b_hat inside (n_sub - 1, n_sub] * 0.5/DT gives n_sub substeps
-            k_hat = b_hat * (n_sub - rng.uniform(0.0, 0.99)) * 0.5 / DT
-            wn, f_fd = rng.uniform(1.0, 30.0), rng.uniform(-10.0, 0.0)
-            f, fd, x, v = draw(rng, 4).tolist()
-            xm, vm, x_md = draw(rng, (3, 2)).tolist()
-            ref = ReferenceState(x_fr=x, x_fr_dot=v, f_fr=f, f_fr_dot=fd,
-                                 x_mr=xm, x_mr_dot=vm, mode=CONTACT)
-            out = contact_step(ref, f_fd, x_md,
-                               EnvEstimate(k_hat=k_hat, b_hat=b_hat, P=np.eye(2)),
-                               wn, DT)
+            # k_hat/b_hat from 2.5 to 2500, the range of n_sub = 1..10 RK4 substeps
+            draws.append((b_hat * (n_sub - rng.uniform(0.0, 0.99)) * 0.5 / DT,
+                          b_hat, rng.uniform(1.0, 30.0)))
+    for _ in range(20):
+        b_hat, wn = rng.uniform(0.1, 1.0), rng.uniform(1.0, 30.0)
+        near = wn * (1.0 + rng.uniform(-1e-9, 1e-9))
+        draws += [(b_hat * wn, b_hat, wn), (b_hat * near, b_hat, wn),
+                  (b_hat * 5000.0, b_hat, wn)]
+    for k_hat, b_hat, wn in draws:
+        f_fd = rng.uniform(-10.0, 0.0)
+        f, fd, x, v = draw(rng, 4).tolist()
+        xm, vm, x_md = draw(rng, (3, 2)).tolist()
+        ref = ReferenceState(x_fr=x, x_fr_dot=v, f_fr=f, f_fr_dot=fd,
+                             x_mr=xm, x_mr_dot=vm, mode=CONTACT)
+        out = contact_step(ref, f_fd, x_md,
+                           EnvEstimate(k_hat=k_hat, b_hat=b_hat, P=np.eye(2)),
+                           wn, DT)
+        y = [out.f_fr, out.f_fr_dot, out.x_fr, out.x_fr_dot]
 
-            kb, inv_b = k_hat / b_hat, 1.0 / b_hat
-            m = max(1, math.ceil(kb * DT / 0.5))
-            seen.add(m)
+        kb, inv_b = k_hat / b_hat, 1.0 / b_hat
+        exact, scale = expm_step(contact_system(kb, inv_b, wn),
+                                 np.array([f, fd, x, v, f_fd]), DT)
+        for a, e, s in zip(y, exact, scale):
+            assert abs(a - e) <= 1e-12 * s
+        assert out.x_fr_ddot == -kb * out.x_fr_dot - out.f_fr_dot / b_hat
 
-            def deriv(t, y):
-                ff, ffd, xx, vv = y
-                fdd = -2.0 * wn * ffd - wn ** 2 * (ff - f_fd)
-                return [ffd, fdd, vv, -kb * vv - inv_b * ffd]
+        def deriv(t, y):
+            ff, ffd, xx, vv = y
+            fdd = -2.0 * wn * ffd - wn ** 2 * (ff - f_fd)
+            return [ffd, fdd, vv, -kb * vv - inv_b * ffd]
 
-            y = [f, fd, x, v]
+        def substepped(m):
+            y_rk = [f, fd, x, v]
             for _ in range(m):
-                y = rk4(deriv, 0.0, y, DT / m)
-            assert [out.f_fr, out.f_fr_dot, out.x_fr, out.x_fr_dot] == y
-            assert out.x_fr_ddot == -kb * y[3] - inv_b * y[1]
-            assert [list(out.x_mr), list(out.x_mr_dot),
-                    list(out.x_mr_ddot)] == list(generic_track(xm, vm, x_md, wn, DT))
-    assert seen == set(range(1, 11))
+                y_rk = rk4(deriv, 0.0, y_rk, DT / m)
+            return y_rk
+
+        m = max(1, math.ceil(kb * DT / 0.5))
+        within_rk4_error(y, substepped(m), substepped(2 * m), scale)
+        free = free_step(ReferenceState(x_mr=xm, x_mr_dot=vm), 0.0, x_md, wn, DT)
+        assert (out.x_mr, out.x_mr_dot, out.x_mr_ddot) == (
+            free.x_mr, free.x_mr_dot, free.x_mr_ddot)
+
+
+def test_contact_step_rejects_nonpositive_stiffness_estimate():
+    # a negative k_hat would make the position reference's pole unstable
+    ref = ReferenceState(mode=CONTACT)
+    for k_hat in (0.0, -200.0, math.nan):
+        est = EnvEstimate(k_hat=k_hat, b_hat=0.5, P=np.eye(2))
+        with pytest.raises(ValueError, match="k_hat"):
+            contact_step(ref, -6.0, [0.0, 0.0], est, WN, DT)
 
 
 def test_steps_give_float_tuples_and_check_setpoint_length():

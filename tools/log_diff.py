@@ -1,0 +1,97 @@
+"""Report how the fingerprint runs of two checkouts differ.
+
+    python3 tools/log_diff.py BASE_DIR CHANGE_DIR
+
+Runs the nine fingerprint runs of tools/log_hashes.py (the eight closed-loop
+logs and the schedule() draws) once with each checkout's own src/, in a
+subprocess per checkout, and prints for each run whether the two outputs are
+identical; if they are not, the largest |change| of each log column that
+changed. For every closed-loop run it also prints, base -> change,
+force_rms, motion_rms, settle_time, the final k_e_hat and b_e_hat and the
+number of events of each kind. For the schedule() draws it prints how many
+of the 1000 results differ. It only reports: the exit status is 0 whatever
+the differences.
+"""
+
+import math
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent
+METRICS = ("force_rms", "motion_rms", "settle_time")
+DRAWS = "schedule-draws/7"
+
+
+def dump(path: str) -> None:
+    """Pickle every fingerprint run's output, with the uamsim on sys.path."""
+    from log_hashes import log_runs, schedule_draws
+    from uamsim import harness
+
+    out = {"columns": harness.LOG_COLUMNS}
+    for label, sc in log_runs():
+        log = harness.run(sc)
+        m = harness.metrics(log)
+        out[label] = (log.data, log.events, {k: m[k] for k in METRICS})
+    out[DRAWS] = list(schedule_draws(7))
+    with open(path, "wb") as fh:
+        pickle.dump(out, fh)
+
+
+def outputs(checkout: Path, path: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(checkout.resolve() / "src"), str(TOOLS)]))
+    subprocess.run([sys.executable, "-c",
+                    "import sys, log_diff; log_diff.dump(sys.argv[1])", path],
+                   cwd=checkout, env=env, check=True)
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
+
+
+def report(label: str, columns, base, change) -> None:
+    (d0, ev0, m0), (d1, ev1, m1) = base, change
+    if d0.shape != d1.shape:
+        print(f"{label}: logs differ in shape, {d0.shape} -> {d1.shape}")
+    elif d0.tobytes() == d1.tobytes() and ev0 == ev1:
+        print(f"{label}: identical")
+    else:
+        delta = abs(d1 - d0).max(axis=0)
+        moved = [f"{c} {x:.3g}" for c, x in zip(columns, delta) if x]
+        print(f"{label}: differ; max |change| by column: "
+              + (", ".join(moved) or "none (only the events differ)"))
+    rows = [(k, m0[k], m1[k]) for k in METRICS]
+    rows += [(k, d0[-1, columns.index(k)], d1[-1, columns.index(k)])
+             for k in ("k_e_hat", "b_e_hat")]
+    for k, a, b in rows:
+        rel = f" ({(b - a) / abs(a):+.3%})" if math.isfinite(a) and a else ""
+        print(f"    {k}: {a:.6g} -> {b:.6g}{rel}")
+    c0, c1 = (Counter(kind for _, kind, _ in ev) for ev in (ev0, ev1))
+    print("    events: " + ", ".join(f"{k} {c0[k]} -> {c1[k]}"
+                                      for k in sorted(c0.keys() | c1.keys())))
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        sys.exit(__doc__.split("\n\n")[1])
+    with tempfile.TemporaryDirectory() as tmp:
+        base, change = (outputs(Path(a), os.path.join(tmp, f"{i}.pkl"))
+                        for i, a in enumerate(args))
+    columns = base.pop("columns")
+    change.pop("columns")
+    for label in base:
+        if label == DRAWS:
+            n = sum(a != b for a, b in zip(base[label], change[label]))
+            print(f"{label}: " + (f"{n} of {len(base[label])} results differ"
+                                  if n else "identical"))
+        else:
+            report(label, columns, base[label], change[label])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

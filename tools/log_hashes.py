@@ -43,14 +43,29 @@ def log_hash(scenario: harness.Scenario) -> str:
     return h.hexdigest()
 
 
-def schedule_hash(seed: int) -> str:
+def schedule_draws(seed: int):
+    """repr of schedule() on each of the 1000 draws from default_rng(seed)."""
     rng = np.random.default_rng(seed)
-    h = hashlib.sha256()
     for i in range(1000):
         k_p, k_d, k_e, b_e, m = (rng.uniform(lo, hi) for lo, hi in DRAW_RANGES)
         box = DRAW_BOXES[i % len(DRAW_BOXES)]
-        h.update(repr(schedule(k_p, k_d, k_e, b_e, m, box)).encode())
+        yield repr(schedule(k_p, k_d, k_e, b_e, m, box))
+
+
+def schedule_hash(seed: int) -> str:
+    h = hashlib.sha256()
+    for r in schedule_draws(seed):
+        h.update(r.encode())
     return h.hexdigest()
+
+
+def log_runs() -> list:
+    """(label, scenario) of the eight closed-loop fingerprint runs."""
+    runs = [(f"{name}/901", harness.preset(name, seed=901)) for name in PRESETS]
+    for s in (901, 902):
+        runs += [(f"soft-noisy {s} {sc.name}", sc)
+                 for sc in scenarios("soft-noisy", s)]
+    return runs
 
 
 def fingerprint(runs):
@@ -70,10 +85,7 @@ def main(argv=None) -> int:
         with open(args.check) as fh:
             expected = json.load(fh)["log_hashes"]
 
-    runs = [(f"{name}/901", harness.preset(name, seed=901)) for name in PRESETS]
-    for s in (901, 902):
-        runs += [(f"soft-noisy {s} {sc.name}", sc)
-                 for sc in scenarios("soft-noisy", s)]
+    runs = log_runs()
     differ = []
     for label, h in fingerprint(runs):
         print(f"{label} {h}", flush=True)
