@@ -11,7 +11,7 @@ from .reference import (CONTACT, FREE, ReferenceState, contact_step,
                         free_step, switch_mode)
 from .controller import (DOBState, GainSet, InfeasibleInput, compose_u,
                          control_force, control_motion, dob_estimates,
-                         dob_update, extract_inputs, invert_inputs, recompose)
+                         dob_update, extract_inputs, invert_inputs)
 from .scheduler import (DegenerateDirection, GainBox, GainRegion,
                         ScheduleResult, SwitchedParams, check_no_switch,
                         j_cost, lambda_pair, pattern_search_J, region_explicit,

@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-import numpy as np
-
-from .plant import Measurement, SurfaceModel, thrust_direction
+from .plant import Measurement, SurfaceModel
 from .reference import FREE, ReferenceState
 
 
@@ -136,15 +133,6 @@ def compose_u(u_bar_f: float, u_bar_m, surface: SurfaceModel) -> tuple:
             u_bar_f * b2 + (m20 * u0 + m21 * u1))
 
 
-@lru_cache(maxsize=16)
-def _psi(yaw: float) -> np.ndarray:
-    """The yaw-aligned extraction matrix, shared between calls: read-only."""
-    c, s = math.cos(yaw), math.sin(yaw)
-    psi = np.array([[c, s, 0.0], [s, -c, 0.0], [0.0, 0.0, 1.0]])
-    psi.flags.writeable = False
-    return psi
-
-
 def extract_inputs(u_bar_e, phi) -> tuple[float, float, float]:
     """Extract (T, phi_x_r, phi_y_r) realizing u_bar_e at the current attitude.
 
@@ -178,17 +166,10 @@ def invert_inputs(u_bar_e, yaw: float) -> tuple[float, float, float]:
     Solves T * R([roll, pitch, yaw]) e3 = u_bar_e directly; the iterated
     extraction converges to this solution.
     """
-    u = np.asarray(u_bar_e, dtype=float).reshape(3)
-    a = _psi(yaw).dot(u)
-    T = float(np.linalg.norm(a))
-    if T <= 0.0 or a[2] <= 0.0:
+    c, s = math.cos(yaw), math.sin(yaw)
+    u0, u1, a_z = u_bar_e
+    a_x, a_y = c * u0 + s * u1, s * u0 - c * u1            # Psi u_bar_e
+    T = math.sqrt(a_x * a_x + a_y * a_y + a_z * a_z)
+    if T <= 0.0 or a_z <= 0.0:
         raise InfeasibleInput("desired input has no upward component")
-    roll = math.asin(a[1] / T)
-    pitch = math.atan2(a[0], a[2])
-    return T, roll, pitch
-
-
-def recompose(T: float, phi) -> np.ndarray:
-    """u_e = T R(phi) e3 for round-trip checks."""
-    tx, ty, tz = thrust_direction(phi)
-    return T * np.array([tx, ty, tz])
+    return T, math.asin(a_y / T), math.atan2(a_x, a_z)

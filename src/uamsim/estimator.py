@@ -30,6 +30,10 @@ class RlseConfig:
             raise ValueError("invalid stiffness bounds")
         if not (0.0 < self.b_min <= self.b_max):
             raise ValueError("invalid damping bounds")
+        if not (0.0 < self.P0 <= self.rho_M):
+            raise ValueError("need 0 < P0 <= rho_M: the cap must admit P0*I")
+        if not (self.mu1 >= 0.0 and self.mu2 > 0.0):
+            raise ValueError("need mu1 >= 0 and mu2 > 0")
 
     def initial_estimate(self) -> "EnvEstimate":
         """Uninformed prior: midpoint of the admissible box, P = P0*I."""

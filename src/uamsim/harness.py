@@ -295,11 +295,14 @@ class RunLog:
                 for line in fh:
                     t, kind, detail = line.rstrip("\n").split(",", 2)
                     events.append((float(t), kind, detail))
-        return cls(data=data, events=events)
+        log = cls(data=data, events=events)
+        validate_log(log)
+        return log
 
 
 def validate_log(log: RunLog) -> None:
-    """Schema check: fixed column count, finite values, monotone time."""
+    """Schema check: fixed column count, finite values, monotone time.
+    RunLog.read_csv applies it to every log it reads."""
     if log.data.shape[1] != len(LOG_COLUMNS):
         raise ValueError("wrong column count")
     if log.n_samples == 0:

@@ -187,19 +187,6 @@ class Measurement:
 
 
 # ---------------------------------------------------------------------------
-# kinematics helpers
-# ---------------------------------------------------------------------------
-
-def thrust_direction(phi) -> tuple[float, float, float]:
-    """R(phi) e3 without building the full matrix."""
-    rx, ry, rz = float(phi[0]), float(phi[1]), float(phi[2])
-    cx, sx = math.cos(rx), math.sin(rx)
-    cy, sy = math.cos(ry), math.sin(ry)
-    cz, sz = math.cos(rz), math.sin(rz)
-    return (cz * sy * cx + sz * sx, sz * sy * cx - cz * sx, cx * cy)
-
-
-# ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
 
@@ -224,7 +211,7 @@ def _acceleration(t, px, py, pz, vx, vy, vz, rx, ry, rz, T, sc, cc):
     cx, sx = cos(rx), sin(rx)
     cy, sy = cos(ry), sin(ry)
     cz, sz = cos(rz), sin(rz)
-    fx = T * (cz * sy * cx + sz * sx) + dx     # T * thrust_direction, inlined
+    fx = T * (cz * sy * cx + sz * sx) + dx     # T * R(phi) e3, inlined
     fy = T * (sz * sy * cx - cz * sx) + dy
     fz = T * (cx * cy) + dz - mg
 

@@ -1,11 +1,14 @@
-"""Reference integration of the plant: a generic RK4 step on lists of floats
-and the plant's derivative as a function of the whole 9-float state.
+"""Reference integration and kinematics of the plant: a generic RK4 step on
+lists of floats, the plant's derivative as a function of the whole 9-float
+state, and the full-matrix kinematics.
 
 plant.step integrates with an RK4 step unrolled by hand; the tests check it
 bit for bit against rk4 on these derivatives, the reference generator's
-exact steps against rk4 within its error, and the float paths of the
-controller against their numpy forms, on values from draw. E3 and rotation are the full-matrix kinematics that the
-tests check the plant's and the controller's closed forms against.
+exact steps against rk4 within its error, and the float paths of the plant
+and the controller against their numpy forms, on values from draw.
+rotation and thrust_direction are the kinematics that the plant's inlined
+expressions are checked against; the controller's extraction tests build
+their desired inputs as T * rotation(phi) @ E3.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 import numpy as np
 
 from uamsim import plant
-from uamsim.plant import thrust_direction
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -31,6 +33,15 @@ def rotation(phi) -> np.ndarray:
         [sz * cy, sz * sy * sx + cz * cx, sz * sy * cx - cz * sx],
         [-sy, cy * sx, cy * cx],
     ])
+
+
+def thrust_direction(phi) -> tuple[float, float, float]:
+    """R(phi) e3 without building the full matrix."""
+    rx, ry, rz = float(phi[0]), float(phi[1]), float(phi[2])
+    cx, sx = math.cos(rx), math.sin(rx)
+    cy, sy = math.cos(ry), math.sin(ry)
+    cz, sz = math.cos(rz), math.sin(rz)
+    return (cz * sy * cx + sz * sx, sz * sy * cx - cz * sx, cx * cy)
 
 
 def draw(rng, shape):

@@ -17,7 +17,7 @@ from uamsim.plant import Measurement, SurfaceModel
 from uamsim.scheduler import GainBox
 
 from estimator_reference import lambda_max_2x2
-from plant_reference import E3
+from plant_reference import E3, rotation
 from region_raster import _boundary_mask, _rasterize_polygon
 from switched_oracle import cycle_contraction, sample_params
 
@@ -242,10 +242,10 @@ def test_criterion_10_extraction_round_trip():
         roll = rng.uniform(-1.2, 1.2)
         pitch = rng.uniform(-1.2, 1.2)
         yaw = rng.uniform(-math.pi, math.pi)
-        u = ctl.recompose(T, [roll, pitch, yaw])
+        u = T * rotation([roll, pitch, yaw]) @ E3
         T2, r2, p2 = ctl.invert_inputs(u, yaw)
         T3, r3, p3 = ctl.extract_inputs(u, [r2, p2, yaw])
         worst = max(worst, float(np.linalg.norm(
-            ctl.recompose(T3, [r3, p3, yaw]) - u)))
+            T3 * rotation([r3, p3, yaw]) @ E3 - u)))
     ok = worst < 1e-10
     _report(10, "input extraction round trip", ok, f"max_residual={worst:.2e}")

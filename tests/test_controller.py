@@ -6,13 +6,12 @@ import pytest
 from uamsim import controller as ctl
 from uamsim.controller import (DOBState, GainSet, InfeasibleInput, compose_u,
                                control_force, control_motion, dob_estimates,
-                               dob_update, extract_inputs, invert_inputs,
-                               recompose)
+                               dob_update, extract_inputs, invert_inputs)
 from uamsim.estimator import RlseConfig, rlse_update
 from uamsim.plant import Measurement, PlantConfig, PlantState, SurfaceModel, measure
 from uamsim.reference import CONTACT, FREE, ReferenceState
 
-from plant_reference import E3, draw
+from plant_reference import E3, draw, rotation
 
 
 def vertical_surface():
@@ -172,21 +171,11 @@ def test_dob_and_motion_law_equal_numpy_forms_bit_for_bit():
             rel=1e-12, abs=0.0)
 
 
-def test_dot_products_equal_matmul_bit_for_bit():
-    # invert_inputs takes the one numpy product left in the loop,
-    # _psi(yaw).dot(u_bar_e), with .dot; on the memoised read-only _psi it
-    # must round as @ does
-    rng = np.random.default_rng(31)
-    for _ in range(20000):
-        u_e = draw(rng, 3)
-        psi = ctl._psi(rng.uniform(-math.pi, math.pi))
-        assert psi.dot(u_e).tobytes() == (psi @ u_e).tobytes()
-
-
 def test_tick_calls_return_python_floats():
-    # measure, compose_u, extract_inputs and rlse_update work on floats and
-    # hand on floats or tuples of them; EnvEstimate.P stays a 2x2 array. The
-    # projections agree with their matrix forms within 1e-12 m (noise-free)
+    # measure, compose_u, extract_inputs, invert_inputs and rlse_update work
+    # on floats and hand on floats or tuples of them; EnvEstimate.P stays a
+    # 2x2 array. The projections agree with their matrix forms within 1e-12 m
+    # (noise-free)
     rng = np.random.default_rng(41)
     cfg, rcfg = PlantConfig(), RlseConfig()
     est = rcfg.initial_estimate()
@@ -210,25 +199,14 @@ def test_tick_calls_return_python_floats():
         u_up = (u_e[0], u_e[1], abs(u_e[2]) + 200.0)
         out = extract_inputs(u_up, tuple(rng.uniform(-0.3, 0.3, 3).tolist()))
         assert type(out) is tuple and all(type(x) is float for x in out)
+        out = invert_inputs(u_up, float(rng.uniform(-math.pi, math.pi)))
+        assert type(out) is tuple and len(out) == 3
+        assert all(type(x) is float for x in out)
 
         est = rlse_update(est, m.x_f, m.x_dot_f, m.f_f, m.x_f - 0.01, rcfg, 2e-3)
         assert type(est.k_hat) is float and type(est.b_hat) is float
         assert type(est.P) is np.ndarray
         assert est.P.shape == (2, 2) and est.P.dtype == np.float64
-
-
-def test_psi_memoised_read_only_and_fresh():
-    # _psi hands every caller the same matrix for a yaw, so it must be
-    # read-only, and equal to the matrix built anew
-    for yaw in (0.0, 0.3, -2.1, math.pi):
-        psi = ctl._psi(yaw)
-        assert ctl._psi(yaw) is psi
-        assert not psi.flags.writeable
-        with pytest.raises(ValueError):
-            psi[0, 0] = 2.0
-        c, sn = math.cos(yaw), math.sin(yaw)
-        fresh = np.array([[c, sn, 0.0], [sn, -c, 0.0], [0.0, 0.0, 1.0]])
-        assert np.array_equal(psi, fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +327,7 @@ def test_extract_known_pitch_inversion():
     # extraction evaluated at the fixed point reproduces it
     T2, rx2, ry2 = extract_inputs(u, [rx, ry, 0.0])
     assert (T2, rx2, ry2) == pytest.approx((T, rx, ry), abs=1e-12)
-    assert np.linalg.norm(recompose(T2, [rx2, ry2, 0.0]) - u) < 1e-10
+    assert np.linalg.norm(T2 * rotation([rx2, ry2, 0.0]) @ E3 - u) < 1e-10
 
 
 def test_extract_round_trip_property():
@@ -359,11 +337,11 @@ def test_extract_round_trip_property():
         roll = rng.uniform(-1.2, 1.2)
         pitch = rng.uniform(-1.2, 1.2)
         yaw = rng.uniform(-math.pi, math.pi)
-        u = recompose(T, [roll, pitch, yaw])
+        u = T * rotation([roll, pitch, yaw]) @ E3
         T2, r2, p2 = invert_inputs(u, yaw)
-        assert np.linalg.norm(recompose(T2, [r2, p2, yaw]) - u) < 1e-10
+        assert np.linalg.norm(T2 * rotation([r2, p2, yaw]) @ E3 - u) < 1e-10
         T3, r3, p3 = extract_inputs(u, [r2, p2, yaw])
-        assert np.linalg.norm(recompose(T3, [r3, p3, yaw]) - u) < 1e-10
+        assert np.linalg.norm(T3 * rotation([r3, p3, yaw]) @ E3 - u) < 1e-10
 
 
 def test_extract_iteration_converges_to_fixed_point():
@@ -373,7 +351,7 @@ def test_extract_iteration_converges_to_fixed_point():
     for _ in range(60):
         T, rx, ry = extract_inputs(u, phi)
         phi = np.array([rx, ry, yaw])
-    assert np.linalg.norm(recompose(T, phi) - u) < 1e-10
+    assert np.linalg.norm(T * rotation(phi) @ E3 - u) < 1e-10
 
 
 def test_extract_infeasible_inputs():

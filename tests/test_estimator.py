@@ -172,10 +172,15 @@ def test_initial_estimate_midpoint():
 
 def test_config_rejects_invalid_bounds():
     for kw in (dict(k_min=0.0), dict(k_min=600.0), dict(b_min=-0.1),
-               dict(b_min=2.0)):
+               dict(b_min=2.0),
+               # a cap below the prior P0*I that rlse_update cannot keep, a
+               # covariance that is not positive, or a gain of the wrong sign
+               dict(P0=0.0), dict(P0=-1.0), dict(rho_M=50.0), dict(rho_M=0.0),
+               dict(mu1=-0.1), dict(mu2=0.0), dict(mu2=-1.0)):
         with pytest.raises(ValueError):
             make_cfg(**kw)
     make_cfg(k_min=200.0, k_max=200.0, b_min=0.5, b_max=0.5)   # point box
+    make_cfg(rho_M=100.0, P0=100.0, mu1=0.0)                    # edge values
 
 
 # ---------------------------------------------------------------------------

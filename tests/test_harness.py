@@ -60,7 +60,7 @@ def test_infeasible_input_holds_previous_command():
     assert log.count_events("extraction_hold") >= 1
 
 
-def test_validate_log_catches_bad_data():
+def test_validate_log_catches_bad_data(tmp_path):
     log = run(tiny_scenario(duration=0.1))
     bad = RunLog(data=log.data.copy())
     bad.data[1, 0] = bad.data[0, 0]          # non-monotone time
@@ -74,6 +74,16 @@ def test_validate_log_catches_bad_data():
     bad3.data = bad3.data[:, 1:]
     with pytest.raises(ValueError, match="column count"):
         validate_log(bad3)
+    # read_csv validates: such logs used to be read, and `uamsim metrics`
+    # printed nan metrics for them and exited 0
+    bad4 = RunLog(data=log.data[::-1].copy())  # reversed time
+    for i, b in enumerate((bad, bad2, bad4)):
+        p = tmp_path / f"bad{i}.csv"
+        b.write_csv(p)
+        with pytest.raises(ValueError):
+            RunLog.read_csv(p)
+        with pytest.raises(ValueError):
+            cli.main(["metrics", str(p)])
 
 
 def test_csv_round_trip(tmp_path):
@@ -223,6 +233,8 @@ def test_unknown_preset_raises():
     dict(m_t=math.nan), dict(approach_speed=math.nan), dict(k_p=math.nan),
     dict(L_f=math.nan), dict(g=math.nan),
     dict(m_bar=math.nan), dict(yaw_ref=math.inf), dict(slide_speed=-math.inf),
+    # an RLSE cap below its prior P0 = 100 ran with a frozen covariance
+    dict(rho_M=50.0), dict(rho_M=0.0), dict(mu1=-0.1), dict(mu2=0.0),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_scenario_validation(bad):
     with pytest.raises(ValueError):

@@ -5,10 +5,10 @@ import pytest
 
 from uamsim.plant import (DisturbanceConfig, Measurement, MeasurementNoise,
                           PlantConfig, PlantState, SurfaceModel, contact_force,
-                          _step_with_events, measure, step,
-                          thrust_direction)
+                          _step_with_events, measure, step)
 
-from plant_reference import draw, dynamics, reference_step, rk4, rotation
+from plant_reference import (draw, dynamics, reference_step, rk4, rotation,
+                             thrust_direction)
 
 
 def vertical_surface(k_e=200.0, b_e=0.5):

@@ -32,9 +32,12 @@ def seed_range(text: str) -> list[int]:
     return seeds
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench(checkout: Path, workload: str, seed: int, seconds: float,
+          trace: int) -> dict:
+    """One run of the checkout's perfbench/run.py; its JSON result. Exits,
+    with the run's exit code and stderr, if the run crashed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -68,7 +71,7 @@ def main(argv=None) -> int:
     for k, seed in enumerate(args.seeds):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         for side in order:
-            res = bench(sides[side], args.workload, seed, args.seconds)
+            res = bench(sides[side], args.workload, seed, args.seconds, 0)
             if not res["correct"] or res["failed"]:
                 bad.append(f"{side} seed {seed}: correct={res['correct']} "
                            f"failed={res['failed']}")

@@ -2,18 +2,18 @@
 
     python3 tools/bench_record.py <tag>
 
-Runs the benchmark (perfbench/run.py, unchanged) on every workload that
-BENCHMARK.json declares, once with --trace 0 for the end-to-end metrics and
-once with --trace 1 for the per-layer metrics, for BENCHMARK.json's
-run_seconds each. Every run uses seed 901, so that records compare with each
+Runs the benchmark (perfbench/run.py, unchanged, through bench_pairs.bench)
+on every workload that BENCHMARK.json declares, once with --trace 0 for the
+end-to-end metrics and once with --trace 1 for the per-layer metrics, for
+BENCHMARK.json's run_seconds each. Every run uses seed 901, so that records compare with each
 other. The record also holds the machine (platform, Python version, CPU
 count), `git describe`, the behaviour fingerprint printed by
 tools/log_hashes.py, the line count of each module under src/ and their
 total, and the wall time and passed/failed counts of one run of the tier-1
 tests (`python -m pytest -q --continue-on-collection-errors`
 with src/ on PYTHONPATH). Exits nonzero, without writing the record, if a
-benchmark run is not correct or reports a failed operation, or if a test
-fails.
+benchmark run crashes (with its exit code and stderr), is not correct or
+reports a failed operation, or if a test fails.
 """
 
 import argparse
@@ -26,21 +26,11 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+from bench_pairs import bench
+
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 901
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
-
-
-def bench(workload: str, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
-                          check=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    if not result["correct"] or result["failed"]:
-        sys.exit(f"{' '.join(cmd)}: correct={result['correct']} "
-                 f"failed={result['failed']}\n{proc.stderr}")
-    return result
 
 
 def tier1() -> dict:
@@ -97,7 +87,11 @@ def main(argv=None) -> int:
     workloads = {}
     for w in spec["workloads"]:
         name = w["name"]
-        runs = {trace: bench(name, seconds, trace) for trace in (0, 1)}
+        runs = {trace: bench(ROOT, name, SEED, seconds, trace) for trace in (0, 1)}
+        for trace, res in runs.items():
+            if not res["correct"] or res["failed"]:
+                sys.exit(f"{name} --trace {trace}: correct={res['correct']} "
+                         f"failed={res['failed']}")
         workloads[name] = {
             "attempted": runs[0]["attempted"], "failed": runs[0]["failed"],
             "end_to_end": runs[0]["metrics"], "per_layer": runs[1]["metrics"],
