@@ -169,7 +169,7 @@ def invert_inputs(u_bar_e, yaw: float) -> tuple[float, float, float]:
     c, s = math.cos(yaw), math.sin(yaw)
     u0, u1, a_z = u_bar_e
     a_x, a_y = c * u0 + s * u1, s * u0 - c * u1            # Psi u_bar_e
-    T = math.sqrt(a_x * a_x + a_y * a_y + a_z * a_z)
+    T = math.hypot(a_x, a_y, a_z)
     if T <= 0.0 or a_z <= 0.0:
         raise InfeasibleInput("desired input has no upward component")
     return T, math.asin(a_y / T), math.atan2(a_x, a_z)

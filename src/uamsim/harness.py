@@ -11,8 +11,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import struct
 import timeit
-from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -347,7 +347,8 @@ def run(scenario: Scenario) -> RunLog:
     ceiling = scenario.thrust_ceiling_factor * gains.m_bar * gains.g_bar
     x_fd_target = surface.x_fs + scenario.approach_depth
 
-    rows = array("d")             # the log, row after row
+    row = struct.Struct(f"{len(LOG_COLUMNS)}d")
+    rows = bytearray((n_steps // ctl_every + 1) * row.size)  # the whole log
     events = []
     T_cmd = pcfg.m_t * pcfg.g
     phi_r = (0.0, 0.0, scenario.yaw_ref)
@@ -389,7 +390,8 @@ def run(scenario: Scenario) -> RunLog:
                                        x_fs_hat, rcfg, dt_ctl)
                 if t - last_sched_t >= scenario.sched_period:
                     res = sched.schedule(gains.k_p, gains.k_d, est.k_hat,
-                                         est.b_hat, gains.m_bar, box)
+                                         est.b_hat, gains.m_bar, box,
+                                         (target_k, target_b))
                     if (target_k, target_b) != (res.k_f, res.b_f):
                         events.append((t, "schedule", res.provenance))
                     target_k, target_b = res.k_f, res.b_f
@@ -440,13 +442,13 @@ def run(scenario: Scenario) -> RunLog:
                 saturated = False
             phi_r = (phi_xr, phi_yr, scenario.yaw_ref)
 
-            rows.fromlist([
+            row.pack_into(
+                rows, i // ctl_every * row.size,
                 t, *st.p_e, meas.x_f, meas.f_f, ref.f_fr, *meas.x_m, *ref.x_mr,
                 gains.k_f, gains.b_f, est.k_hat, est.b_hat,
                 1.0 if ref.mode == refgen.CONTACT else 0.0,
                 1.0 if st.in_contact else 0.0,
-                T_cmd, *st.phi,
-            ])
+                T_cmd, *st.phi)
 
         if i == n_steps:
             break

@@ -328,6 +328,11 @@ def test_extract_known_pitch_inversion():
     T2, rx2, ry2 = extract_inputs(u, [rx, ry, 0.0])
     assert (T2, rx2, ry2) == pytest.approx((T, rx, ry), abs=1e-12)
     assert np.linalg.norm(T2 * rotation([rx2, ry2, 0.0]) @ E3 - u) < 1e-10
+    # T = |a| without overflow or underflow of the squares at extreme scales
+    assert invert_inputs((0.0, 1e200, 1e200), 0.0) == pytest.approx(
+        (math.sqrt(2.0) * 1e200, -math.pi / 4.0, 0.0), rel=1e-15, abs=0.0)
+    assert invert_inputs((0.0, 3e-162, 1e-170), 0.0) == pytest.approx(
+        (3e-162, -math.pi / 2.0, 0.0), rel=1e-15, abs=0.0)
 
 
 def test_extract_round_trip_property():

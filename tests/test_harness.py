@@ -262,7 +262,8 @@ def test_motion_setpoint_equals_numpy_form_bit_for_bit():
 
 def test_run_steps_plant_through_module_attribute(monkeypatch):
     # the loop looks plant.step up on the module at every call (the
-    # benchmark's tracer wraps it there), 1000 times per simulated second
+    # benchmark's tracer wraps it there), 1000 times per simulated second;
+    # the log, allocated before the loop, has one row per controller tick
     calls = []
     step = harness.plantmod.step
 
@@ -271,10 +272,36 @@ def test_run_steps_plant_through_module_attribute(monkeypatch):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(harness.plantmod, "step", counted)
-    sc = tiny_scenario(duration=0.5)
-    log = run(sc)
-    assert len(calls) == round(sc.duration / sc.plant_dt) == 500
-    assert log.n_samples == 251
+    for duration, n_steps, n_rows in ((0.5, 500, 251), (0.001, 1, 1),
+                                      (0.0035, 4, 3), (1.0, 1000, 501)):
+        calls.clear()
+        sc = tiny_scenario(duration=duration)
+        log = run(sc)
+        assert len(calls) == round(sc.duration / sc.plant_dt) == n_steps
+        assert log.n_samples == n_rows
+        validate_log(log)
+
+
+def test_run_warm_starts_each_schedule_from_the_last_gains(monkeypatch):
+    # the loop calls schedule() through the module attribute and passes the
+    # gains it last chose: the box midpoint before the first schedule
+    calls = []
+    schedule = harness.sched.schedule
+
+    def recorded(*args, **kwargs):
+        res = schedule(*args, **kwargs)
+        calls.append((args, kwargs, res))
+        return res
+
+    monkeypatch.setattr(harness.sched, "schedule", recorded)
+    sc = preset("experiment1-fast", duration=3.0)
+    run(sc)
+    assert len(calls) > 5
+    start = sc.gain_box().mid
+    for args, kwargs, res in calls:
+        assert len(args) == 7 and not kwargs
+        assert args[6] == start
+        start = (res.k_f, res.b_f)
 
 
 def test_scenario_rejects_unknown_profiles():

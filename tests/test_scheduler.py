@@ -542,6 +542,42 @@ def test_schedule_respects_box_and_certifies_random_draws():
             assert check_no_switch(res.condition_id, sp)
 
 
+def test_warm_start_certifies_where_the_five_seed_search_does():
+    # bench ranges, random starts in the box: the warm result is certified
+    # exactly when the five-seed one is, at the same J within 1e-7
+    rng = np.random.default_rng(18)
+    box = GainBox()
+    n_search = 0
+    for _ in range(300):
+        k_e, b_e, m_t = (rng.uniform(50.0, 500.0), rng.uniform(0.1, 1.0),
+                         rng.uniform(3.0, 5.0))
+        start = (rng.uniform(box.k_f_min, box.k_f_max),
+                 rng.uniform(box.b_f_min, box.b_f_max))
+        cold = schedule(23.5, 19.5, k_e, b_e, m_t, box)
+        warm = schedule(23.5, 19.5, k_e, b_e, m_t, box, start)
+        if cold.provenance != sched.PATTERN_SEARCH:
+            assert warm == cold
+            continue
+        n_search += 1
+        assert warm.provenance == sched.PATTERN_SEARCH
+        assert warm.certified == cold.certified
+        assert abs(warm.J - cold.J) <= 1e-7
+    assert n_search > 250
+
+
+def test_uncertified_warm_start_returns_the_five_seed_result():
+    # from (0.5, 30) the search alone stops short of the five-seed minimum,
+    # uncertified; schedule() then returns the five-seed result unchanged
+    k_e, b_e, m_t, box, start = 450.0, 0.5, 4.2, GainBox(), (0.5, 30.0)
+    cost = sched._j_evaluator(23.5, 19.5, k_e, b_e, m_t, box)
+    k_f, b_f, _ = pattern_search_J(cost, box, [start])
+    cold = schedule(23.5, 19.5, k_e, b_e, m_t, box)
+    assert (k_f, b_f) != (cold.k_f, cold.b_f)
+    assert lambda_pair(switched_params(23.5, 19.5, k_f, b_f, k_e, b_e, m_t))[2] >= 1.0
+    assert schedule(23.5, 19.5, k_e, b_e, m_t, box, start) == cold
+    assert not cold.certified
+
+
 def test_schedule_near_critical_contact_mode_stays_finite():
     # at the corner seed (k_f 0.1, b_f 40) the contact mode is within ~1e-5
     # of critical damping but outside the repeated-root tolerance, where
