@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_metrics)
 
     q = sub.add_parser("bench-scheduler", help="grid vs explicit region timing")
-    q.add_argument("--N", type=int, nargs="+", default=[125, 175])
-    q.add_argument("--reps", type=int, default=20)
+    q.add_argument("--N", type=_at_least_one, nargs="+", default=[125, 175])
+    q.add_argument("--reps", type=_at_least_one, default=20)
     q.add_argument("--out", default="out")
     q.set_defaults(func=cmd_bench)
 
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m-t", type=float, default=4.0)
     q.add_argument("--k-p", type=float, default=23.5)
     q.add_argument("--k-d", type=float, default=19.5)
-    q.add_argument("--N", type=int, default=125)
+    q.add_argument("--N", type=_at_least_one, default=125)
     q.add_argument("--k-f-min", type=float, default=0.1)
     q.add_argument("--k-f-max", type=float, default=1.0)
     q.add_argument("--b-f-min", type=float, default=10.0)

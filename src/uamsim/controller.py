@@ -40,7 +40,7 @@ class GainSet:
 
     def __post_init__(self):
         if min(self.k_p, self.k_d, self.K_mp, self.K_md, self.L_f, self.L_m,
-               self.m_bar) <= 0.0:
+               self.m_bar, self.g_bar) <= 0.0:
             raise ValueError("controller gains must be positive")
 
 

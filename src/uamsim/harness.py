@@ -255,7 +255,13 @@ class RunLog:
     events: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float).reshape(-1, len(LOG_COLUMNS))
+        # a table of LOG_COLUMNS columns, or a flat array of whole rows
+        data, n = np.asarray(self.data, dtype=float), len(LOG_COLUMNS)
+        if not (data.shape[1] == n if data.ndim == 2
+                else data.ndim == 1 and data.size % n == 0):
+            raise ValueError(f"log data must have {n} columns, got shape "
+                             f"{data.shape}")
+        self.data = data.reshape(-1, n)
 
     @property
     def n_samples(self) -> int:
@@ -552,9 +558,14 @@ def bench_scheduler(N_list, reps: int = 20) -> dict:
     Returns {"rows": [(N, t_grid, t_explicit)], "grid_exponent": float},
     the exponent being the median over repetitions of the log-log slope of
     the grid times. Both methods compute all three no-switching regions.
+    Raises ValueError on an empty or repeated N list, or reps below 1.
     """
     if not N_list:
         raise ValueError("need at least one N")
+    if len(set(N_list)) != len(N_list):     # the fit pairs times by N
+        raise ValueError(f"repeated N in {list(N_list)}")
+    if reps < 1:
+        raise ValueError("reps must be at least 1")
     k_p, k_d, k_e, b_e, m_t, box = 23.5, 19.5, 200.0, 0.5, 4.0, GainBox()
 
     def _grid(N):

@@ -145,6 +145,8 @@ class PlantConfig:
     def __post_init__(self):
         if self.m_t <= 0.0:
             raise ValueError("m_t must be positive")
+        if not self.g > 0.0:
+            raise ValueError("g must be positive")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.tau_att < 0.0:

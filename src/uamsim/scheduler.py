@@ -8,7 +8,9 @@ a finite-switching contraction cost with a derivative-free pattern search:
 
     1. compute the explicit-inequality region of each no-switching condition
        as a convex polygon clipped to the gain box,
-    2. take the centroid of the largest region,
+    2. take the centroid of the largest region, each region being the
+       largest clip of the box among its candidate half-plane sets, and
+       on equal areas prefer NS3, then NS2, then NS1,
     3. if all are empty, minimize J = Lambda1*Lambda2 + box-centering terms,
     4. if that fails, fall back to (k_f_min, k_d).
 
@@ -138,21 +140,10 @@ def _clip_halfplane(poly, a, b, c):
     return out
 
 
-def _polygon_area(poly) -> float:
-    s = 0.0
+def _shoelace(poly) -> tuple[float, float, float]:
+    """Signed double area and the two centroid sums of a polygon, in one pass."""
     n = len(poly)
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        s += x0 * y1 - x1 * y0
-    return 0.5 * abs(s)
-
-
-def _polygon_centroid(poly) -> tuple[float, float]:
-    """Area-weighted centroid of a polygon with nonzero area."""
-    n = len(poly)
-    a2 = 0.0
-    cx = cy = 0.0
+    a2 = cx = cy = 0.0
     for i in range(n):
         x0, y0 = poly[i]
         x1, y1 = poly[(i + 1) % n]
@@ -160,7 +151,7 @@ def _polygon_centroid(poly) -> tuple[float, float]:
         a2 += w
         cx += (x0 + x1) * w
         cy += (y0 + y1) * w
-    return cx / (3.0 * a2), cy / (3.0 * a2)
+    return a2, cx, cy
 
 
 @dataclass
@@ -178,7 +169,8 @@ class GainRegion:
             raise ValueError("empty region has no centroid")
         if len(self.vertices) == 1:
             return tuple(self.vertices[0])
-        return _polygon_centroid(self.vertices)
+        a2, cx, cy = _shoelace(self.vertices)
+        return cx / (3.0 * a2), cy / (3.0 * a2)
 
 
 def _lower(slope: float, icept: float):
@@ -191,24 +183,17 @@ def _upper(slope: float, icept: float):
     return (-slope, 1.0, icept)
 
 
-def _build_region(cond_id: str, box: GainBox, halfplanes) -> GainRegion:
-    poly = box.corners()
-    for hp in halfplanes:
-        poly = _clip_halfplane(poly, *hp)
-        if not poly:
-            return GainRegion(cond_id)
-    area = _polygon_area(poly)
-    if area < _MIN_AREA:
-        return GainRegion(cond_id)
-    return GainRegion(cond_id, vertices=poly, area=area)
-
-
 def _best_region(cond_id: str, box: GainBox, candidates) -> GainRegion:
+    """The largest clip of the box over the candidate half-plane sets; the
+    first of equal areas, and empty if none reaches _MIN_AREA."""
     best = GainRegion(cond_id)
     for halfplanes in candidates:
-        r = _build_region(cond_id, box, halfplanes)
-        if r.area > best.area:
-            best = r
+        poly = box.corners()
+        for hp in halfplanes:
+            poly = _clip_halfplane(poly, *hp)
+        area = 0.5 * abs(_shoelace(poly)[0])
+        if area >= _MIN_AREA and area > best.area:
+            best = GainRegion(cond_id, vertices=poly, area=area)
     return best
 
 
@@ -282,10 +267,8 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
         C = 2.0 * k_p / (k_d - s)
         slope2 = k_e / C - b_e
         icept2 = (k_e - k_p) / C + k_d - b_e
-        return _build_region(cond_id, box, [
-            _lower(db_slope, db_icept),
-            _lower(slope2, icept2),
-        ])
+        return _best_region(cond_id, box, [
+            [_lower(db_slope, db_icept), _lower(slope2, icept2)]])
 
     # NS2
     C_l = (k_d - s) / (2.0 * k_p)
@@ -442,11 +425,7 @@ def _j_evaluator(k_p: float, k_d: float, k_e: float, b_e: float, m_t: float,
             J = 1.0
         else:
             J = arc(K1, B1, dK, dB, L, -1.0) * arc(K2, B2, dK, dB, L, 1.0)
-        if wk > 0.0:
-            J += ck * (k_f - mk) ** 2
-        if wb > 0.0:
-            J += cb * (b_f - mb) ** 2
-        return J
+        return J + ck * (k_f - mk) ** 2 + cb * (b_f - mb) ** 2
 
     return cost
 
@@ -507,8 +486,6 @@ NS_CENTROID = "NS-centroid"
 PATTERN_SEARCH = "PatternSearch"
 FALLBACK = "Fallback"
 
-_TIE_RANK = {NS3: 3, NS2: 2, NS1: 1}
-
 
 @dataclass
 class ScheduleResult:
@@ -552,11 +529,12 @@ def schedule(k_p: float, k_d: float, k_e_hat: float, b_e_hat: float,
     Raises ValueError, through region_explicit, when a gain or an estimate
     is not finite or not positive.
     """
+    # NS3 first: max keeps the first of equal areas
     regions = [region_explicit(c, k_p, k_d, k_e_hat, b_e_hat, m_bar, box)
-               for c in _CONDITIONS]
+               for c in (NS3, NS2, NS1)]
     nonempty = [r for r in regions if not r.empty]
     if nonempty:
-        best = max(nonempty, key=lambda r: (r.area, _TIE_RANK[r.condition_id]))
+        best = max(nonempty, key=lambda r: r.area)
         k_f, b_f = best.centroid()
         k_f, b_f = box.clamp(k_f, b_f)
         sp = switched_params(k_p, k_d, k_f, b_f, k_e_hat, b_e_hat, m_bar)

@@ -369,6 +369,6 @@ def test_extract_infeasible_inputs():
 
 
 def test_gainset_rejects_nonpositive_motion_gains():
-    for name in ("K_mp", "K_md", "L_m"):
+    for name in ("K_mp", "K_md", "L_m", "g_bar"):     # and the gravity
         with pytest.raises(ValueError, match="positive"):
             GainSet(**{name: 0.0})

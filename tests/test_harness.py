@@ -86,6 +86,25 @@ def test_validate_log_catches_bad_data(tmp_path):
             cli.main(["metrics", str(p)])
 
 
+def test_runlog_rejects_data_of_the_wrong_width(tmp_path):
+    # such tables used to be reshaped silently into rows of 21 values
+    n = len(LOG_COLUMNS)
+    for shape in ((10, 2 * n), (21, n - 1), (1, n + 1), (n + 1,), (2, 3, n)):
+        with pytest.raises(ValueError, match="columns"):
+            RunLog(data=np.zeros(shape))
+    assert RunLog(data=np.zeros(2 * n)).data.shape == (2, n)
+    assert RunLog(data=np.zeros(0)).n_samples == 0
+    # the right header over rows of 20 values: read as shifted rows, and
+    # `uamsim metrics` printed numbers for it
+    p = tmp_path / "narrow.csv"
+    rows = np.arange(1.0, 21 * (n - 1) + 1.0).reshape(21, n - 1)
+    np.savetxt(p, rows, delimiter=",", header=",".join(LOG_COLUMNS), comments="")
+    with pytest.raises(ValueError, match="columns"):
+        RunLog.read_csv(p)
+    with pytest.raises(ValueError, match="columns"):
+        cli.main(["metrics", str(p)])
+
+
 def test_csv_round_trip(tmp_path):
     log = run(tiny_scenario(duration=0.3))
     p = tmp_path / "log.csv"
@@ -235,6 +254,9 @@ def test_unknown_preset_raises():
     dict(m_bar=math.nan), dict(yaw_ref=math.inf), dict(slide_speed=-math.inf),
     # an RLSE cap below its prior P0 = 100 ran with a frozen covariance
     dict(rho_M=50.0), dict(rho_M=0.0), dict(mu1=-0.1), dict(mu2=0.0),
+    # zero gravity ran with a zero thrust ceiling; negative gravity raised
+    # "thrust must be nonnegative" at t=0
+    dict(g=0.0), dict(g=-9.81),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_scenario_validation(bad):
     with pytest.raises(ValueError):
@@ -342,6 +364,8 @@ def test_bench_scheduler_rows_and_ordering(tmp_path):
     assert len(lines) == 3
     with pytest.raises(ValueError, match="at least one N"):
         harness.bench_scheduler([])
+    with pytest.raises(ValueError, match="reps"):     # gave rows of nan
+        harness.bench_scheduler([20], reps=0)
     # the timed calls run without the collector, which is then left as it was
     was_enabled = gc.isenabled()
     try:
@@ -394,6 +418,23 @@ def test_cli_bench(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "bench_scheduler.csv").exists()
     assert "speedup" in capsys.readouterr().out
+
+
+def test_cli_bench_and_region_export_reject_bad_sizes(tmp_path, capsys):
+    # --N 5 5 printed a grid exponent fitted to one abscissa, --reps 0 nan
+    # rows, and --N 0 ended in a traceback
+    out = ["--out", str(tmp_path)]
+    for cmd, args in (("bench-scheduler", ["--N", "0"]),
+                      ("bench-scheduler", ["--N", "5", "-2"]),
+                      ("bench-scheduler", ["--reps", "0"]),
+                      ("region-export", ["--N", "0"])):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([cmd, *args, *out])
+        assert exc.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="repeated N"):
+        cli.main(["bench-scheduler", "--N", "5", "5", "--reps", "1", *out])
+    assert not (tmp_path / "bench_scheduler.csv").exists()
 
 
 def test_cli_sweep(tmp_path):

@@ -188,6 +188,12 @@ def test_step_rejects_nonfinite():
         step(st, -1.0, np.zeros(3), s, cfg)
 
 
+def test_plant_config_rejects_nonpositive_gravity():
+    for g in (0.0, -9.81, math.nan):
+        with pytest.raises(ValueError, match="g must be positive"):
+            PlantConfig(g=g)
+
+
 def test_plant_config_rejects_nonpositive_dt():
     for dt in (0.0, -1e-3):
         with pytest.raises(ValueError, match="dt"):

@@ -148,6 +148,48 @@ def test_region_degenerate_box_point():
     assert reg3.empty
 
 
+def test_best_region_keeps_the_largest_clip_above_min_area():
+    nothing = [(1.0, 0.0, 0.0)]                            # k_f <= 0
+    sliver = [(1.0, 0.0, 0.1 + 1e-12)]                     # area ~3e-11
+    real = [(1.0, 0.0, 0.5), (0.0, 1.0, 40.0)]             # k_f <= 0.5
+    for cands in ([nothing, sliver, real], [real, sliver, nothing],
+                  [sliver, real, nothing]):
+        reg = sched._best_region(NS2, BOX, cands)
+        assert reg.condition_id == NS2
+        assert reg.area == pytest.approx(0.4 * 30.0)
+        assert sorted(reg.vertices) == pytest.approx(
+            [(0.1, 10.0), (0.1, 40.0), (0.5, 10.0), (0.5, 40.0)])
+    assert 0.0 < 30.0 * 1e-12 < sched._MIN_AREA
+    for cands in ([nothing, sliver], [sliver], [nothing], []):
+        reg = sched._best_region(NS1, BOX, cands)
+        assert reg.empty and reg.area == 0.0 and reg.condition_id == NS1
+
+
+def test_schedule_breaks_area_ties_ns3_then_ns2_then_ns1(monkeypatch):
+    # stand-in regions at distinct places, each centroid passing its check,
+    # so the result shows which region was picked
+    def square(k):
+        return [(k, 20.0), (k + 0.1, 20.0), (k + 0.1, 30.0), (k, 30.0)]
+
+    places = {NS1: 0.1, NS2: 0.4, NS3: 0.7}
+    areas = {}
+    monkeypatch.setattr(sched, "region_explicit", lambda c, *args: (
+        sched.GainRegion(c, square(places[c]), areas[c]) if c in areas
+        else sched.GainRegion(c)))
+    monkeypatch.setattr(sched, "check_no_switch", lambda c, sp: True)
+    for present, winner in (({NS1: 1.0, NS2: 1.0, NS3: 1.0}, NS3),
+                            ({NS1: 1.0, NS2: 1.0}, NS2),
+                            ({NS1: 1.0, NS3: 1.0}, NS3),
+                            ({NS1: 1.0}, NS1),
+                            ({NS1: 2.0, NS2: 1.0, NS3: 1.0}, NS1),
+                            ({NS1: 1.0, NS2: 2.0, NS3: 2.0}, NS3)):
+        areas.clear()
+        areas.update(present)
+        res = schedule(23.5, 19.5, 200.0, 0.5, 4.2, BOX)
+        assert (res.provenance, res.condition_id) == (sched.NS_CENTROID, winner)
+        assert (res.k_f, res.b_f) == pytest.approx((places[winner] + 0.05, 25.0))
+
+
 def test_region_functions_reject_bad_input():
     with pytest.raises(ValueError, match="N must be"):
         region_grid(NS1, 23.5, 19.5, 50.0, 1.0, 4.0, BOX, 0)
