@@ -164,10 +164,8 @@ class Scenario:
         return PlantConfig(
             m_t=self.m_t, g=self.g, tau_att=self.tau_att, dt=self.plant_dt,
             disturbance=DisturbanceConfig(
-                const=np.asarray(self.dist_const, dtype=float),
-                amp=np.asarray(self.dist_amp, dtype=float),
-                freq_hz=np.asarray(self.dist_freq, dtype=float),
-                tangential_friction=self.friction),
+                const=self.dist_const, amp=self.dist_amp,
+                freq_hz=self.dist_freq, tangential_friction=self.friction),
             noise=MeasurementNoise(pos=self.noise_pos, vel=self.noise_vel,
                                    f_f=self.noise_f_f),
         )
@@ -330,8 +328,8 @@ def run(scenario: Scenario) -> RunLog:
     pcfg = scenario.plant_config()
     rng = np.random.default_rng(scenario.seed)
 
-    p0 = surface.p_s - scenario.standoff * surface.B_f
-    st = PlantState(p_e=p0, v_e=(0.0, 0.0, 0.0), phi=(0.0, 0.0, 0.0))
+    st = PlantState(p_e=surface.p_s - scenario.standoff * surface.B_f,
+                    v_e=(0.0, 0.0, 0.0), phi=(0.0, 0.0, 0.0))
 
     gains = scenario.gain_set()
     box = scenario.gain_box()
@@ -342,8 +340,8 @@ def run(scenario: Scenario) -> RunLog:
     dob = ctl.DOBState()
     slew = sched.SlewLimitedGains(gains.k_f, gains.b_f, rate=scenario.slew_rate)
 
-    x_f0 = float(surface.B_f @ p0)
-    x_m0 = tuple((surface.B_m.T @ p0).tolist())
+    start = plantmod.measure(st, surface, pcfg)   # the tick's projection, no noise
+    x_f0, x_m0 = start.x_f, start.x_m
     ref = refgen.ReferenceState(x_fr=x_f0, x_mr=x_m0)
 
     dt = scenario.plant_dt
@@ -354,115 +352,106 @@ def run(scenario: Scenario) -> RunLog:
     x_fd_target = surface.x_fs + scenario.approach_depth
 
     row = struct.Struct(f"{len(LOG_COLUMNS)}d")
-    rows = bytearray((n_steps // ctl_every + 1) * row.size)  # the whole log
+    n_ticks = n_steps // ctl_every + 1
+    rows = bytearray(n_ticks * row.size)       # the whole log
     events = []
     T_cmd = pcfg.m_t * pcfg.g
-    phi_r = (0.0, 0.0, scenario.yaw_ref)
+    phi_xr = phi_yr = 0.0          # the attitude command (yaw: yaw_ref)
     x_fs_hat = surface.x_fs        # latched on contact detection
     x_f_recent = deque(maxlen=scenario.contact_debounce)  # x_f for the latch
     t_contact0 = None              # first detected contact (force phase origin)
     target_k, target_b = gains.k_f, gains.b_f
     last_sched_t = -math.inf
     saturated = holding = False
-    was_in_contact_true = st.in_contact
 
-    for i in range(n_steps + 1):
-        t = i * dt
+    for k in range(n_ticks):
+        t = k * ctl_every * dt
+        if not all(map(math.isfinite, (*st.p_e, *st.v_e))):
+            raise RuntimeError(f"non-finite plant state at t={t:.3f}")
 
-        if i % ctl_every == 0:
-            if not all(map(math.isfinite, (*st.p_e, *st.v_e))):
-                raise RuntimeError(f"non-finite plant state at t={t:.3f}")
+        meas = plantmod.measure(st, surface, pcfg, rng)
+        prev_contact = detector.in_contact
+        in_contact = detector.update(meas.f_f)
+        x_f_recent.append(meas.x_f)
 
-            meas = plantmod.measure(st, surface, pcfg, rng)
-            prev_contact = detector.in_contact
-            in_contact = detector.update(meas.f_f)
-            x_f_recent.append(meas.x_f)
+        if in_contact and not prev_contact:
+            events.append((t, "detector_make", f"f_f={meas.f_f:.3f}"))
+            # anchor at the sample where the force first exceeded the
+            # threshold (the debounce only confirms contact began then)
+            x_fs_hat = x_f_recent[0]
+            if t_contact0 is None:
+                t_contact0 = t
+            ref = refgen.switch_mode(ref, refgen.CONTACT, meas.f_f)
+            last_sched_t = -math.inf       # force an immediate schedule
+        elif prev_contact and not in_contact:
+            events.append((t, "detector_break", ""))
+            ref = refgen.switch_mode(ref, refgen.FREE)
 
-            if in_contact and not prev_contact:
-                events.append((t, "detector_make", f"f_f={meas.f_f:.3f}"))
-                # anchor at the sample where the force first exceeded the
-                # threshold (the debounce only confirms contact began then)
-                x_fs_hat = x_f_recent[0]
-                if t_contact0 is None:
-                    t_contact0 = t
-                ref = refgen.switch_mode(ref, refgen.CONTACT, meas.f_f)
-                last_sched_t = -math.inf       # force an immediate schedule
-            elif prev_contact and not in_contact:
-                events.append((t, "detector_break", ""))
-                ref = refgen.switch_mode(ref, refgen.FREE)
+        if in_contact:
+            est = estm.rlse_update(est, meas.x_f, meas.x_dot_f, meas.f_f,
+                                   x_fs_hat, rcfg, dt_ctl)
+            if t - last_sched_t >= scenario.sched_period:
+                res = sched.schedule(gains.k_p, gains.k_d, est.k_hat,
+                                     est.b_hat, gains.m_bar, box,
+                                     (target_k, target_b))
+                if (target_k, target_b) != (res.k_f, res.b_f):
+                    events.append((t, "schedule", res.provenance))
+                target_k, target_b = res.k_f, res.b_f
+                last_sched_t = t
+            gains.k_f, gains.b_f = slew.track(target_k, target_b, dt_ctl)
 
-            if in_contact:
-                est = estm.rlse_update(est, meas.x_f, meas.x_dot_f, meas.f_f,
-                                       x_fs_hat, rcfg, dt_ctl)
-                if t - last_sched_t >= scenario.sched_period:
-                    res = sched.schedule(gains.k_p, gains.k_d, est.k_hat,
-                                         est.b_hat, gains.m_bar, box,
-                                         (target_k, target_b))
-                    if (target_k, target_b) != (res.k_f, res.b_f):
-                        events.append((t, "schedule", res.provenance))
-                    target_k, target_b = res.k_f, res.b_f
-                    last_sched_t = t
-                gains.k_f, gains.b_f = slew.track(target_k, target_b, dt_ctl)
-
-            tc = t - t_contact0 if t_contact0 is not None else 0.0
-            f_fd = scenario.force_setpoint(tc)
-            x_md = scenario.motion_setpoint(t, x_m0)
+        x_md = scenario.motion_setpoint(t, x_m0)
+        if ref.mode == refgen.CONTACT:
+            f_fd = scenario.force_setpoint(t - t_contact0)
+            ref = refgen.contact_step(ref, f_fd, x_md, est,
+                                      scenario.omega_n, dt_ctl)
+        else:
             x_fd = min(x_f0 + scenario.approach_speed * t, x_fd_target)
+            ref = refgen.free_step(ref, x_fd, x_md, scenario.omega_n, dt_ctl)
 
-            if ref.mode == refgen.CONTACT:
-                ref = refgen.contact_step(ref, f_fd, x_md, est,
-                                          scenario.omega_n, dt_ctl)
-            else:
-                ref = refgen.free_step(ref, x_fd, x_md, scenario.omega_n, dt_ctl)
+        d_f, d_m = ctl.dob_estimates(dob, meas, gains)
+        u_f = ctl.control_force(ref, meas, d_f, gains, surface)
+        u_m = ctl.control_motion(ref, meas, d_m, gains, surface)
+        dob = ctl.dob_update(dob, meas, u_f, u_m, gains, surface,
+                             in_contact, dt_ctl)
 
-            d_f, d_m = ctl.dob_estimates(dob, meas, gains)
-            u_f = ctl.control_force(ref, meas, d_f, gains, surface)
-            u_m = ctl.control_motion(ref, meas, d_m, gains, surface)
-            dob = ctl.dob_update(dob, meas, u_f, u_m, gains, surface,
-                                 in_contact, dt_ctl)
-
-            u_e = ctl.compose_u(u_f, u_m, surface)
-            held = False
+        u_e = ctl.compose_u(u_f, u_m, surface)
+        try:
+            T_cmd, phi_xr, phi_yr = ctl.extract_inputs(u_e, st.phi)
+            holding = False
+        except ctl.InfeasibleInput:
+            # large attitude error puts the yaw-aligned extraction
+            # outside its asin domain; the exact inversion still
+            # realizes any input with an upward component
             try:
-                T_cmd, phi_xr, phi_yr = ctl.extract_inputs(u_e, st.phi)
+                T_cmd, phi_xr, phi_yr = ctl.invert_inputs(u_e, scenario.yaw_ref)
+                events.append((t, "extraction_fallback", f"T={T_cmd:.1f}"))
+                holding = False
             except ctl.InfeasibleInput:
-                # large attitude error puts the yaw-aligned extraction
-                # outside its asin domain; the exact inversion still
-                # realizes any input with an upward component
-                try:
-                    T_cmd, phi_xr, phi_yr = ctl.invert_inputs(u_e, scenario.yaw_ref)
-                    events.append((t, "extraction_fallback", f"T={T_cmd:.1f}"))
-                except ctl.InfeasibleInput:
-                    # no thrust realizes it: hold the previous tick's command
-                    held = True
-                    phi_xr, phi_yr = phi_r[0], phi_r[1]
-                    if not holding:
-                        events.append((t, "extraction_hold", f"u_z={u_e[2]:.3f}"))
-            holding = held
-            if T_cmd > ceiling:
-                T_cmd = ceiling
-                if not saturated:
-                    events.append((t, "thrust_saturation", f"T={T_cmd:.2f}"))
-                    saturated = True
-            else:
-                saturated = False
-            phi_r = (phi_xr, phi_yr, scenario.yaw_ref)
+                # no thrust realizes it: hold the previous tick's command
+                if not holding:
+                    events.append((t, "extraction_hold", f"u_z={u_e[2]:.3f}"))
+                holding = True
+        if T_cmd > ceiling and not saturated:
+            events.append((t, "thrust_saturation", f"T={ceiling:.2f}"))
+        saturated = T_cmd > ceiling
+        T_cmd = min(T_cmd, ceiling)
+        phi_r = (phi_xr, phi_yr, scenario.yaw_ref)
 
-            row.pack_into(
-                rows, i // ctl_every * row.size,
-                t, *st.p_e, meas.x_f, meas.f_f, ref.f_fr, *meas.x_m, *ref.x_mr,
-                gains.k_f, gains.b_f, est.k_hat, est.b_hat,
-                1.0 if ref.mode == refgen.CONTACT else 0.0,
-                1.0 if st.in_contact else 0.0,
-                T_cmd, *st.phi)
+        row.pack_into(
+            rows, k * row.size,
+            t, *st.p_e, meas.x_f, meas.f_f, ref.f_fr, *meas.x_m, *ref.x_mr,
+            gains.k_f, gains.b_f, est.k_hat, est.b_hat,
+            1.0 if ref.mode == refgen.CONTACT else 0.0,
+            1.0 if st.in_contact else 0.0,
+            T_cmd, *st.phi)
 
-        if i == n_steps:
-            break
-        st = plantmod.step(st, T_cmd, phi_r, surface, pcfg)
-        if st.in_contact != was_in_contact_true:
-            kind = "contact_make" if st.in_contact else "contact_break"
-            events.append((st.t, kind, ""))
-            was_in_contact_true = st.in_contact
+        for _ in range(min(ctl_every, n_steps - k * ctl_every)):
+            was_in_contact = st.in_contact
+            st = plantmod.step(st, T_cmd, phi_r, surface, pcfg)
+            if st.in_contact != was_in_contact:
+                kind = "contact_make" if st.in_contact else "contact_break"
+                events.append((st.t, kind, ""))
 
     return RunLog(data=np.frombuffer(rows), events=events)
 
@@ -472,7 +461,10 @@ def run(scenario: Scenario) -> RunLog:
 # ---------------------------------------------------------------------------
 
 def settle_index(log: RunLog, settle_window: float = 3.0) -> int | None:
-    """First sample index after `settle_window` seconds of unbroken contact."""
+    """First sample index after `settle_window` seconds of unbroken contact.
+    Raises ValueError on a window that is negative or not finite."""
+    if not 0.0 <= settle_window < math.inf:
+        raise ValueError(f"settle window must be finite and >= 0: {settle_window}")
     if log.n_samples == 0:
         return None
     t = log.column("t")
@@ -532,8 +524,11 @@ def _xcorr_peak_lag(ref: np.ndarray, meas: np.ndarray, dt: float) -> float:
     m = meas - meas.mean()
     if np.allclose(r, 0.0) or np.allclose(m, 0.0):
         return 0.0
-    c = np.correlate(m, r, mode="full")
-    lag = int(np.argmax(c)) - (len(r) - 1)
+    n = len(r)
+    size = 1 << (2 * n - 2).bit_length()    # >= 2n - 1: the FFT does not wrap
+    c = np.fft.irfft(np.fft.rfft(m, size) * np.fft.rfft(r, size).conj(), size)
+    c = np.concatenate((c[size - n + 1:], c[:n]))   # lags -(n - 1) .. n - 1
+    lag = int(np.argmax(c)) - (n - 1)
     return lag * dt
 
 

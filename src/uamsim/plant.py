@@ -101,22 +101,26 @@ class DisturbanceConfig:
     contact.
     """
 
-    const: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    amp: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    freq_hz: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    const: tuple = (0.0, 0.0, 0.0)
+    amp: tuple = (0.0, 0.0, 0.0)
+    freq_hz: tuple = (0.0, 0.0, 0.0)
     tangential_friction: float = 0.0
 
     def __post_init__(self):
         for name in ("const", "amp", "freq_hz"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float).reshape(3))
-        if not (np.all(np.isfinite([self.const, self.amp, self.freq_hz]))
+            setattr(self, name, as_floats(getattr(self, name), 3))
+        if not (all(map(math.isfinite, (*self.const, *self.amp, *self.freq_hz)))
                 and 0.0 <= self.tangential_friction < math.inf):
             raise ValueError("disturbance must be finite, friction nonnegative")
-        # the force as three floats when it does not vary, else None
-        self._steady = None if self.amp.any() else tuple(self.const.tolist())
+        # the force when it does not vary, else None
+        self._steady = None if any(self.amp) else self.const
 
-    def force(self, t: float) -> np.ndarray:
-        return self.const + self.amp * np.sin(2.0 * math.pi * self.freq_hz * t)
+    def force(self, t: float) -> tuple:
+        """delta(t) as three floats, in numpy's operation order."""
+        (c0, c1, c2), (a0, a1, a2), (f0, f1, f2) = self.const, self.amp, self.freq_hz
+        w = 2.0 * math.pi
+        return (c0 + a0 * sin(w * f0 * t), c1 + a1 * sin(w * f1 * t),
+                c2 + a2 * sin(w * f2 * t))
 
 
 @dataclass
@@ -209,7 +213,7 @@ def _acceleration(t, px, py, pz, vx, vy, vz, rx, ry, rz, T, sc, cc):
     the _consts of the surface (sc) and the plant configuration (cc)."""
     k_e, b_e, x_fs, bx, by, bz = sc
     m, mg, dist, fric, steady = cc
-    dx, dy, dz = dist.force(t).tolist() if steady is None else steady
+    dx, dy, dz = dist.force(t) if steady is None else steady
     cx, sx = cos(rx), sin(rx)
     cy, sy = cos(ry), sin(ry)
     cz, sz = cos(rz), sin(rz)

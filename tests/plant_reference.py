@@ -69,12 +69,12 @@ def dynamics(T: float, phi_r, surface, cfg):
     bx, by, bz = surface.B_f.tolist()
     dist = cfg.disturbance
     fric = dist.tangential_friction
-    const = None if any(dist.amp.tolist()) else dist.const.tolist()
+    const = None if any(dist.amp) else dist.const
     rx_r, ry_r, rz_r = phi_r
 
     def f(t, y):
         px, py, pz, vx, vy, vz, rx, ry, rz = y
-        dx, dy, dz = dist.force(t).tolist() if const is None else const
+        dx, dy, dz = dist.force(t) if const is None else const
         tx, ty, tz = thrust_direction((rx, ry, rz))
         fx = T * tx + dx
         fy = T * ty + dy

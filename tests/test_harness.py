@@ -179,6 +179,42 @@ def test_metrics_empty_log_raises():
         metrics(RunLog(data=np.empty((0, len(LOG_COLUMNS)))))
 
 
+@pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf, -1.0])
+def test_settle_window_must_be_finite_and_nonnegative(tmp_path, window):
+    # a nan window used to give nan metrics with exit status 0, and a
+    # negative one was read as 0
+    log = synthetic_log(0.0)
+    with pytest.raises(ValueError, match="settle window"):
+        settle_index(log, window)
+    with pytest.raises(ValueError, match="settle window"):
+        metrics(log, window)
+    p = tmp_path / "log.csv"
+    log.write_csv(p)
+    with pytest.raises(ValueError, match="settle window"):
+        cli.main(["metrics", str(p), f"--settle-window={window}"])
+    assert settle_index(log, 0.0) == 0
+
+
+def test_xcorr_lag_of_delayed_white_noise_is_exact():
+    # windows of one white-noise signal, the measurement k samples late
+    # (k > 0) or early; no periodic wrap, so the peak is exactly at k
+    x = np.random.default_rng(11).standard_normal(3000)
+    dt, start, n = 0.002, 500, 2000
+    for k in (-300, -41, -7, -1, 0, 1, 3, 26, 250):
+        ref, meas = x[start:start + n], x[start - k:start - k + n]
+        assert harness._xcorr_peak_lag(ref, meas, dt) == k * dt
+
+
+def test_xcorr_lag_equals_the_direct_correlation():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(2, 1500))
+        ref, meas = rng.standard_normal(n), rng.standard_normal(n)
+        c = np.correlate(meas - meas.mean(), ref - ref.mean(), mode="full")
+        lag = int(np.argmax(c)) - (n - 1)
+        assert harness._xcorr_peak_lag(ref, meas, 0.01) == lag * 0.01
+
+
 def test_metrics_experiment2_light():
     log = run(preset("experiment2-vertical", duration=12.0))
     m = metrics(log, settle_window=5.0)
@@ -302,6 +338,18 @@ def test_run_steps_plant_through_module_attribute(monkeypatch):
         assert len(calls) == round(sc.duration / sc.plant_dt) == n_steps
         assert log.n_samples == n_rows
         validate_log(log)
+
+
+def test_run_starts_references_at_the_ticks_own_projection():
+    # the first row's motion references equal the tick's noise-free
+    # measurement of the start state to the bit, on yawed surfaces too
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        tilt, yaw = rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0)
+        log = run(Scenario(duration=0.0, tilt_deg=tilt, yaw_deg=yaw,
+                           motion_profile="hold"))
+        assert log.column("x_mr1")[0] == log.column("x_m1")[0]
+        assert log.column("x_mr2")[0] == log.column("x_m2")[0]
 
 
 def test_run_warm_starts_each_schedule_from_the_last_gains(monkeypatch):

@@ -232,7 +232,7 @@ def test_step_acceleration_identity_at_evaluation_point():
                 == d[3:6].tolist())
         x_dot_f = float(s.B_f @ st.v_e)
         f_c = contact_force(float(s.B_f @ st.p_e), x_dot_f, s)
-        delta = dist.const + dist.amp * np.sin(2.0 * math.pi * dist.freq_hz * t)
+        delta = dist.const + dist.amp * np.sin(2.0 * math.pi * np.asarray(dist.freq_hz) * t)
         if f_c != 0.0:
             delta = delta - dist.tangential_friction * (st.v_e - x_dot_f * s.B_f)
         a_exp = (-cfg.g * np.array([0, 0, 1.0])
@@ -498,3 +498,20 @@ def test_disturbance_signal_shape():
     assert np.allclose(f0, [0.5, 0.0, 0.0])
     f = d.force(1.0 / 8.0)       # quarter period of 2 Hz
     assert f[1] == pytest.approx(1.0)
+
+
+def test_disturbance_force_is_three_floats_equal_to_the_numpy_formula():
+    # force(t) runs in floats, in the operation order of the array formula
+    # const + amp * sin(2 pi freq t), so the two agree bit for bit wherever
+    # numpy's float64 sine is the platform's libm sine
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        const, amp = draw(rng, 3), draw(rng, 3)
+        freq, t = rng.uniform(0.0, 60.0, 3), rng.uniform(0.0, 200.0)
+        d = DisturbanceConfig(const=const, amp=amp, freq_hz=freq)
+        out = d.force(t)
+        assert type(out) is tuple and len(out) == 3
+        assert all(type(v) is float for v in out)
+        assert list(out) == (const + amp * np.sin(2.0 * math.pi * freq * t)).tolist()
+    steady = DisturbanceConfig(const=[0.3, -0.2, 0.1])
+    assert steady.const == (0.3, -0.2, 0.1) and steady._steady is steady.const
