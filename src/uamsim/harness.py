@@ -114,8 +114,9 @@ class Scenario:
     b_f_max: float = 40.0
 
     def __post_init__(self):
-        for name in ("p_s", "slide_dir", "dist_const", "dist_amp", "dist_freq"):
-            setattr(self, name, tuple(float(v) for v in getattr(self, name)))
+        for name, n in (("p_s", 3), ("slide_dir", 2), ("dist_const", 3),
+                        ("dist_amp", 3), ("dist_freq", 3)):
+            setattr(self, name, plantmod.as_floats(getattr(self, name), n))
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
             if isinstance(v, str) or v is None:     # m_bar may be None
@@ -329,7 +330,7 @@ def run(scenario: Scenario) -> RunLog:
     rng = np.random.default_rng(scenario.seed)
 
     st = PlantState(p_e=surface.p_s - scenario.standoff * surface.B_f,
-                    v_e=(0.0, 0.0, 0.0), phi=(0.0, 0.0, 0.0))
+                    v_e=(0.0, 0.0, 0.0), phi=(0.0, 0.0, scenario.yaw_ref))
 
     gains = scenario.gain_set()
     box = scenario.gain_box()
@@ -355,12 +356,12 @@ def run(scenario: Scenario) -> RunLog:
     n_ticks = n_steps // ctl_every + 1
     rows = bytearray(n_ticks * row.size)       # the whole log
     events = []
-    T_cmd = pcfg.m_t * pcfg.g
+    T_cmd = gains.m_bar * gains.g_bar          # held if the first tick holds
     phi_xr = phi_yr = 0.0          # the attitude command (yaw: yaw_ref)
-    x_fs_hat = surface.x_fs        # latched on contact detection
+    x_fs_hat = None                # latched on contact detection
     x_f_recent = deque(maxlen=scenario.contact_debounce)  # x_f for the latch
     t_contact0 = None              # first detected contact (force phase origin)
-    target_k, target_b = gains.k_f, gains.b_f
+    target = (gains.k_f, gains.b_f)    # the scheduled gains
     last_sched_t = -math.inf
     saturated = holding = False
 
@@ -370,41 +371,38 @@ def run(scenario: Scenario) -> RunLog:
             raise RuntimeError(f"non-finite plant state at t={t:.3f}")
 
         meas = plantmod.measure(st, surface, pcfg, rng)
-        prev_contact = detector.in_contact
         in_contact = detector.update(meas.f_f)
         x_f_recent.append(meas.x_f)
 
-        if in_contact and not prev_contact:
-            events.append((t, "detector_make", f"f_f={meas.f_f:.3f}"))
-            # anchor at the sample where the force first exceeded the
-            # threshold (the debounce only confirms contact began then)
-            x_fs_hat = x_f_recent[0]
-            if t_contact0 is None:
-                t_contact0 = t
-            ref = refgen.switch_mode(ref, refgen.CONTACT, meas.f_f)
-            last_sched_t = -math.inf       # force an immediate schedule
-        elif prev_contact and not in_contact:
-            events.append((t, "detector_break", ""))
-            ref = refgen.switch_mode(ref, refgen.FREE)
+        if in_contact != (ref.mode == refgen.CONTACT):
+            if in_contact:
+                events.append((t, "detector_make", f"f_f={meas.f_f:.3f}"))
+                # anchor at the sample where the force first exceeded the
+                # threshold (the debounce only confirms contact began then)
+                x_fs_hat = x_f_recent[0]
+                if t_contact0 is None:
+                    t_contact0 = t
+                ref = refgen.switch_mode(ref, refgen.CONTACT, meas.f_f)
+                last_sched_t = -math.inf       # force an immediate schedule
+            else:
+                events.append((t, "detector_break", ""))
+                ref = refgen.switch_mode(ref, refgen.FREE)
 
+        x_md = scenario.motion_setpoint(t, x_m0)
         if in_contact:
             est = estm.rlse_update(est, meas.x_f, meas.x_dot_f, meas.f_f,
                                    x_fs_hat, rcfg, dt_ctl)
             if t - last_sched_t >= scenario.sched_period:
                 res = sched.schedule(gains.k_p, gains.k_d, est.k_hat,
-                                     est.b_hat, gains.m_bar, box,
-                                     (target_k, target_b))
-                if (target_k, target_b) != (res.k_f, res.b_f):
+                                     est.b_hat, gains.m_bar, box, target)
+                if target != (res.k_f, res.b_f):
                     events.append((t, "schedule", res.provenance))
-                target_k, target_b = res.k_f, res.b_f
+                target = res.k_f, res.b_f
                 last_sched_t = t
-            gains.k_f, gains.b_f = slew.track(target_k, target_b, dt_ctl)
-
-        x_md = scenario.motion_setpoint(t, x_m0)
-        if ref.mode == refgen.CONTACT:
-            f_fd = scenario.force_setpoint(t - t_contact0)
-            ref = refgen.contact_step(ref, f_fd, x_md, est,
-                                      scenario.omega_n, dt_ctl)
+            gains.k_f, gains.b_f = slew.track(*target, dt_ctl)
+            ref = refgen.contact_step(
+                ref, scenario.force_setpoint(t - t_contact0), x_md, est,
+                scenario.omega_n, dt_ctl)
         else:
             x_fd = min(x_f0 + scenario.approach_speed * t, x_fd_target)
             ref = refgen.free_step(ref, x_fd, x_md, scenario.omega_n, dt_ctl)
@@ -442,7 +440,7 @@ def run(scenario: Scenario) -> RunLog:
             rows, k * row.size,
             t, *st.p_e, meas.x_f, meas.f_f, ref.f_fr, *meas.x_m, *ref.x_mr,
             gains.k_f, gains.b_f, est.k_hat, est.b_hat,
-            1.0 if ref.mode == refgen.CONTACT else 0.0,
+            1.0 if in_contact else 0.0,
             1.0 if st.in_contact else 0.0,
             T_cmd, *st.phi)
 
@@ -502,7 +500,8 @@ def metrics(log: RunLog, settle_window: float = 3.0) -> dict:
             1 for te, kind, _ in log.events
             if kind == "contact_break" and te >= t[idx])
         out["xcorr_lag"] = _xcorr_peak_lag(
-            log.column("f_fr")[w], log.column("f_f")[w], t[1] - t[0])
+            log.column("f_fr")[w], log.column("f_f")[w],
+            t[1] - t[0] if log.n_samples > 1 else 0.0)
     else:
         for k in ("force_rms", "force_max_abs", "motion_rms", "xcorr_lag"):
             out[k] = math.nan

@@ -370,14 +370,14 @@ def measure(state: PlantState, surface: SurfaceModel, cfg: PlantConfig,
     f_f = contact_force(x_f, x_dot_f, surface)
     n = cfg.noise
     if rng is not None and n._any:
-        pos, vel = n.pos, n.vel
-        x_f += pos * rng.standard_normal()
-        x_dot_f += vel * rng.standard_normal()
-        (x0, x1), (e0, e1) = x_m, rng.standard_normal(2).tolist()
-        x_m = (x0 + pos * e0, x1 + pos * e1)
-        (v0, v1), (e0, e1) = x_dot_m, rng.standard_normal(2).tolist()
-        x_dot_m = (v0 + vel * e0, v1 + vel * e1)
-        f_f += n.f_f * rng.standard_normal()
+        # one draw, in the order x_f, x_dot_f, x_m, x_dot_m, f_f
+        e0, e1, e2, e3, e4, e5, e6 = rng.standard_normal(7).tolist()
+        pos, vel, (x0, x1), (v0, v1) = n.pos, n.vel, x_m, x_dot_m
+        x_f += pos * e0
+        x_dot_f += vel * e1
+        x_m = (x0 + pos * e2, x1 + pos * e3)
+        x_dot_m = (v0 + vel * e4, v1 + vel * e5)
+        f_f += n.f_f * e6
     # the fields already have their types: skip __post_init__'s conversion
     m = object.__new__(Measurement)
     m.x_f, m.x_dot_f, m.x_m, m.x_dot_m, m.f_f = x_f, x_dot_f, x_m, x_dot_m, f_f

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import gc
 import math
 import os
@@ -179,6 +180,20 @@ def test_metrics_empty_log_raises():
         metrics(RunLog(data=np.empty((0, len(LOG_COLUMNS)))))
 
 
+def test_metrics_of_a_one_row_log(tmp_path, capsys):
+    # one in-contact row settles at once with a zero window; its lag is 0.0,
+    # as there is no second sample to take a period from (t[1] - t[0] used
+    # to raise IndexError, and `uamsim metrics` with it)
+    log = synthetic_log(0.0, n=1)
+    m = metrics(log, 0.0)
+    assert m["settle_time"] == log.column("t")[0]
+    assert m["xcorr_lag"] == 0.0 and m["force_rms"] == 0.0
+    p = tmp_path / "log.csv"
+    log.write_csv(p)
+    assert cli.main(["metrics", str(p), "--settle-window=0"]) == 0
+    assert "xcorr_lag=0.0" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf, -1.0])
 def test_settle_window_must_be_finite_and_nonnegative(tmp_path, window):
     # a nan window used to give nan metrics with exit status 0, and a
@@ -293,6 +308,10 @@ def test_unknown_preset_raises():
     # zero gravity ran with a zero thrust ceiling; negative gravity raised
     # "thrust must be nonnegative" at t=0
     dict(g=0.0), dict(g=-9.81),
+    # a slide_dir of the wrong length built, and run() raised "too many
+    # values to unpack" at its first tick; every vector field is checked
+    dict(slide_dir=(0.0, 1.0, 0.0)), dict(p_s=(1.0, 1.5)),
+    dict(dist_freq=(0.0, 0.0, 0.0, 0.0)),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_scenario_validation(bad):
     with pytest.raises(ValueError):
@@ -372,6 +391,63 @@ def test_run_warm_starts_each_schedule_from_the_last_gains(monkeypatch):
         assert len(args) == 7 and not kwargs
         assert args[6] == start
         start = (res.k_f, res.b_f)
+
+
+def test_rlse_latches_the_surface_where_the_force_first_crossed(monkeypatch):
+    # from each detector make on, the estimator's x_fs is the x_f logged
+    # contact_debounce - 1 rows before the make, where the debounce began:
+    # a measurement, never the true surface
+    calls = []
+    rlse_update = harness.estm.rlse_update
+
+    def recorded(*args):
+        calls.append(args[4])
+        return rlse_update(*args)
+
+    monkeypatch.setattr(harness.estm, "rlse_update", recorded)
+    for debounce in (1, 3, 5):
+        calls.clear()
+        sc = preset("experiment1-slow", duration=8.0, seed=3,
+                    contact_debounce=debounce, k_e=50.0, b_e=0.2, k_d=25.0,
+                    K_md=25.0, noise_f_f=0.1)
+        log = run(sc)
+        x_f = log.column("x_f")
+        makes = [round(t * sc.ctl_rate) for t, kind, _ in log.events
+                 if kind == "detector_make"]
+        assert len(makes) >= 3
+        rows = np.flatnonzero(log.column("mode") == 1.0)
+        assert len(rows) == len(calls)        # one update per contact tick
+        for k, x_fs in zip(rows, calls):
+            make = max(j for j in makes if j <= k)
+            assert x_fs == x_f[make - (debounce - 1)]
+        assert sc.surface().x_fs not in calls
+
+
+@pytest.mark.parametrize("name", ["experiment1-fast", "experiment2-tilted"])
+def test_turning_the_scene_about_the_vertical_changes_nothing(name):
+    # the surface, p_s and the yaw reference turned together about e3 by a
+    # random psi: the force- and motion-frame signals, gains, estimates,
+    # thrust, modes and events are those of the unturned run
+    cols = ("x_f", "f_f", "f_fr", "k_f", "b_f", "k_e_hat", "b_e_hat",
+            "thrust", "mode", "in_contact")
+
+    def signals(sc):
+        log = run(sc)
+        data = [log.column(c) for c in cols] + [
+            log.column(f"x_m{i}") - log.column(f"x_mr{i}") for i in (1, 2)]
+        kinds = [(round(t / sc.plant_dt), kind) for t, kind, _ in log.events]
+        return np.column_stack(data), kinds
+
+    base = preset(name, duration=10.0)
+    want, want_events = signals(base)
+    px, py, pz = base.p_s
+    for psi in np.random.default_rng(14).uniform(-180.0, 180.0, 2):
+        c, s = math.cos(math.radians(psi)), math.sin(math.radians(psi))
+        got, events = signals(dataclasses.replace(
+            base, yaw_deg=psi, yaw_ref=math.radians(psi),
+            p_s=(c * px - s * py, s * px + c * py, pz)))
+        assert np.abs(got - want).max() <= 1e-9, psi
+        assert events == want_events, psi
 
 
 def test_scenario_rejects_unknown_profiles():

@@ -491,6 +491,28 @@ def test_measure_noise_statistics():
     assert vals.mean() == pytest.approx(-2.0, abs=0.01)
 
 
+def test_measure_noise_draws_in_field_order():
+    # one standard-normal draw of 7 per call gives the stream of one scalar
+    # draw per component, in the order x_f, x_dot_f, x_m, x_dot_m, f_f
+    noise = MeasurementNoise(pos=0.01, vel=0.02, f_f=0.05)
+    cfg = PlantConfig(noise=noise)
+    s = SurfaceModel.from_tilt(30.0, 40.0)
+    st = PlantState(p_e=s.p_s + 0.01 * s.B_f, v_e=(0.1, -0.2, 0.05),
+                    phi=(0.0, 0.0, 0.0))
+    exact = measure(st, s, cfg)
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(200):
+        m = measure(st, s, cfg, rng)
+        e = [ref.standard_normal() for _ in range(7)]
+        assert m.x_f == exact.x_f + noise.pos * e[0]
+        assert m.x_dot_f == exact.x_dot_f + noise.vel * e[1]
+        assert m.x_m == (exact.x_m[0] + noise.pos * e[2],
+                         exact.x_m[1] + noise.pos * e[3])
+        assert m.x_dot_m == (exact.x_dot_m[0] + noise.vel * e[4],
+                             exact.x_dot_m[1] + noise.vel * e[5])
+        assert m.f_f == exact.f_f + noise.f_f * e[6]
+
+
 def test_disturbance_signal_shape():
     d = DisturbanceConfig(const=[0.5, 0.0, 0.0], amp=[0.0, 1.0, 0.0],
                           freq_hz=[0.0, 2.0, 0.0])

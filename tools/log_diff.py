@@ -6,7 +6,9 @@ Runs the nine fingerprint runs of tools/log_hashes.py (the eight closed-loop
 logs and the schedule() draws) once with each checkout's own src/, in a
 subprocess per checkout, and prints for each run whether the two outputs are
 identical; if they are not, the largest |change| of each log column that
-changed. For every closed-loop run it also prints, base -> change,
+changed, and where the change began: the first log row that differs (its
+tick index and t) and the first column, in schema order, that differs
+there. For every closed-loop run it also prints, base -> change,
 force_rms, motion_rms, settle_time, the final k_e_hat and b_e_hat and the
 number of events of each kind. For the schedule() draws it prints how many
 of the 1000 results differ. It only reports: the exit status is 0 whatever
@@ -63,6 +65,12 @@ def report(label: str, columns, base, change) -> None:
         moved = [f"{c} {x:.3g}" for c, x in zip(columns, delta) if x]
         print(f"{label}: differ; max |change| by column: "
               + (", ".join(moved) or "none (only the events differ)"))
+        changed = (d0 != d1).any(axis=1)
+        if changed.any():
+            i = int(changed.argmax())
+            j = int((d0[i] != d1[i]).argmax())
+            print(f"    first change: row {i} (t={d0[i, 0]:.3f}), column "
+                  f"{columns[j]}: {float(d0[i, j])!r} -> {float(d1[i, j])!r}")
     rows = [(k, m0[k], m1[k]) for k in METRICS]
     rows += [(k, d0[-1, columns.index(k)], d1[-1, columns.index(k)])
              for k in ("k_e_hat", "b_e_hat")]
