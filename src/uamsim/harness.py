@@ -116,7 +116,10 @@ class Scenario:
     def __post_init__(self):
         for name, n in (("p_s", 3), ("slide_dir", 2), ("dist_const", 3),
                         ("dist_amp", 3), ("dist_freq", 3)):
-            setattr(self, name, plantmod.as_floats(getattr(self, name), n))
+            try:
+                setattr(self, name, plantmod.as_floats(getattr(self, name), n))
+            except ValueError as e:
+                raise ValueError(f"{name} must be {n} floats: {e}") from None
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
             if isinstance(v, str) or v is None:     # m_bar may be None
@@ -480,7 +483,12 @@ def settle_index(log: RunLog, settle_window: float = 3.0) -> int | None:
 
 
 def metrics(log: RunLog, settle_window: float = 3.0) -> dict:
-    """Post-settling tracking errors plus switching/scheduling statistics."""
+    """Post-settling tracking errors plus switching/scheduling statistics.
+
+    provenance counts the `schedule` events by path. Such an event marks a
+    change of the target gains, not a schedule() call: a call that keeps
+    the target writes none.
+    """
     if log.n_samples == 0:
         raise ValueError("empty log")
     out: dict = {}

@@ -68,20 +68,25 @@ def switched_params(k_p: float, k_d: float, k_f: float, b_f: float,
 
 def check_no_switch(cond_id: str, sp: SwitchedParams) -> bool:
     """Evaluate one raw no-switching inequality set exactly as stated."""
-    dK = sp.K1 - sp.K2
-    dB = sp.B1 - sp.B2
+    return _no_switch(cond_id, sp.K1, sp.B1, sp.K2, sp.B2)
+
+
+def _no_switch(cond_id: str, K1: float, B1: float, K2: float, B2: float) -> bool:
+    """check_no_switch on the four mode parameters as floats."""
+    dK = K1 - K2
+    dB = B1 - B2
     if cond_id == NS1:
-        if not (dB < 0.0 and 4.0 * sp.K1 <= sp.B1 ** 2):
+        if not (dB < 0.0 and 4.0 * K1 <= B1 ** 2):
             return False
-        C = 2.0 * sp.K1 / (sp.B1 - math.sqrt(sp.B1 ** 2 - 4.0 * sp.K1))
+        C = 2.0 * K1 / (B1 - math.sqrt(B1 ** 2 - 4.0 * K1))
         return dK / dB < C
     if cond_id == NS2:
-        if not (dB < 0.0 and 4.0 * sp.K2 <= sp.B2 ** 2):
+        if not (dB < 0.0 and 4.0 * K2 <= B2 ** 2):
             return False
-        lhs = 2.0 * sp.K2 / (sp.B2 + math.sqrt(sp.B2 ** 2 - 4.0 * sp.K2))
+        lhs = 2.0 * K2 / (B2 + math.sqrt(B2 ** 2 - 4.0 * K2))
         return lhs < dK / dB
     if cond_id == NS3:
-        return 0.0 <= dB and 4.0 * sp.K2 <= sp.B2 ** 2
+        return 0.0 <= dB and 4.0 * K2 <= B2 ** 2
     raise ValueError(f"unknown condition {cond_id!r}")
 
 
@@ -126,18 +131,31 @@ class GainBox:
 def _clip_halfplane(poly, a, b, c):
     """Sutherland-Hodgman clip of a convex polygon against a*k + b*v <= c."""
     out = []
-    n = len(poly)
-    for i in range(n):
-        p = poly[i]
-        q = poly[(i + 1) % n]
-        fp = a * p[0] + b * p[1] - c
-        fq = a * q[0] + b * q[1] - c
+    if not poly:
+        return out
+    px, py = poly[0]
+    fp = a * px + b * py - c
+    for q in poly[1:] + poly[:1]:             # edges (0, 1), ..., (n-1, 0)
+        qx, qy = q
+        fq = a * qx + b * qy - c
         if (fp > 0.0) != (fq > 0.0):
             t = fp / (fp - fq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            out.append((px + t * (qx - px), py + t * (qy - py)))
         if fq <= 0.0:
             out.append(q)
+        px, py, fp = qx, qy, fq
     return out
+
+
+def _area(poly) -> float:
+    """Area of a polygon: half the absolute shoelace sum, as in _shoelace."""
+    n = len(poly)
+    a2 = 0.0
+    for i in range(n):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % n]
+        a2 += x0 * y1 - x1 * y0
+    return 0.5 * abs(a2)
 
 
 def _shoelace(poly) -> tuple[float, float, float]:
@@ -183,15 +201,53 @@ def _upper(slope: float, icept: float):
     return (-slope, 1.0, icept)
 
 
-def _best_region(cond_id: str, box: GainBox, candidates) -> GainRegion:
-    """The largest clip of the box over the candidate half-plane sets; the
-    first of equal areas, and empty if none reaches _MIN_AREA."""
+def _best_region(cond_id: str, box: GainBox, first, lines, last) -> GainRegion:
+    """The largest clip of the box over the candidate half-plane sets
+    [first, line, last], one per line and clipped in that order (a None
+    first or last is left out); the first of equal areas, and empty if none
+    reaches _MIN_AREA.
+
+    The box is clipped by first once for all candidates. With more than one
+    line, a screen skips the candidates that cannot win: it estimates each
+    candidate's area as Q = box -> first -> last cut by its line alone, the
+    same set clipped in another order, and clips in full, in order, only
+    the candidates whose estimate is within 4 delta of the largest.
+
+    delta = 1e-9 * k_f_max * b_f_max bounds how far one computed area lies
+    from the exact area of its set. With K, V the largest |k_f|, |b_f| of
+    the box and W_k, W_b its widths: the value a k + b v - c of a line at a
+    vertex is rounded by e ~ 3 eps (|a| K + |b| V) (a line with a larger
+    |c| lies far from the box and clips it exactly), so a clip misplaces at
+    most the strip of the box within e of the line, of area <= 2 e
+    min(W_k/|b|, W_b/|a|) <= 6 eps (K W_b + V W_k) <= 24 eps K V. A new
+    vertex is off by ~3 eps in each coordinate, and the shoelace adds at
+    most 7 terms of size <= 2 K V. So one area is off by well under
+    500 eps K V ~ 1.1e-13 K V, and a candidate's full area A and estimate E
+    differ by at most 2 delta. The winner w then has E_w >= A_w - 2 delta
+    >= A_j - 2 delta >= E_j - 4 delta for every j, so it and every
+    candidate tying it pass the screen, and walking the survivors in order
+    with the same tests gives the same winner, vertices and area.
+    """
     best = GainRegion(cond_id)
-    for halfplanes in candidates:
-        poly = box.corners()
-        for hp in halfplanes:
-            poly = _clip_halfplane(poly, *hp)
-        area = 0.5 * abs(_shoelace(poly)[0])
+    base = box.corners()
+    if first is not None:
+        base = _clip_halfplane(base, *first)
+        if not base:                          # every candidate is empty
+            return best
+    if len(lines) > 1:
+        q = base if last is None else _clip_halfplane(base, *last)
+        est = [_area(_clip_halfplane(q, *hp)) for hp in lines]
+        top = -inf
+        for e in est:                         # the largest, ignoring NaN
+            if e > top:
+                top = e
+        cut = top - 4e-9 * box.k_f_max * box.b_f_max
+        lines = [hp for hp, e in zip(lines, est) if not e < cut]  # NaN kept
+    for hp in lines:
+        poly = _clip_halfplane(base, *hp)
+        if last is not None:
+            poly = _clip_halfplane(poly, *last)
+        area = _area(poly)
         if area >= _MIN_AREA and area > best.area:
             best = GainRegion(cond_id, vertices=poly, area=area)
     return best
@@ -201,6 +257,21 @@ def _best_region(cond_id: str, box: GainBox, candidates) -> GainRegion:
 # explicit-inequality regions
 # ---------------------------------------------------------------------------
 
+def _linspace(lo: float, hi: float, n: int) -> list:
+    """np.linspace(lo, hi, n).tolist() for n >= 2, bit for bit: the same
+    operations in the same order, including its form for a step that
+    rounds to zero."""
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step != 0.0:
+        out = [i * step + lo for i in range(div)]
+    else:
+        out = [i / div * delta + lo for i in range(div)]
+    out.append(hi)
+    return out
+
+
 def _tangents(k_lo: float, k_hi: float, k_e: float, b_e: float, m_t: float):
     """Half-planes b_f >= tangent at _N_SUPPORT points k_f in [k_lo, k_hi].
 
@@ -208,11 +279,12 @@ def _tangents(k_lo: float, k_hi: float, k_e: float, b_e: float, m_t: float):
     is concave, so its tangents lie above it: requiring b_f above a tangent
     is an inner (conservative) version of the raw inequality.
     """
+    mk = m_t * k_e
+    root_mk = math.sqrt(mk)
     out = []
-    for c in np.linspace(k_lo, k_hi, _N_SUPPORT):
-        c = float(c)
-        slope = -b_e + math.sqrt(m_t * k_e) / math.sqrt(1.0 + c)
-        val = -b_e * (1.0 + c) + 2.0 * math.sqrt(m_t * k_e * (1.0 + c))
+    for c in _linspace(k_lo, k_hi, _N_SUPPORT):
+        slope = -b_e + root_mk / math.sqrt(1.0 + c)
+        val = -b_e * (1.0 + c) + 2.0 * math.sqrt(mk * (1.0 + c))
         out.append(_lower(slope, val - slope * c))
     return out
 
@@ -249,10 +321,10 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
         # every k_f >= k_f_min
         if k_d * k_d < 4.0 * m_t * k_e * (1.0 + box.k_f_min):
             return GainRegion(cond_id)
-        db_upper = _upper(db_slope, db_icept)
-        return _best_region(cond_id, box, [
-            [tan, db_upper]
-            for tan in _tangents(box.k_f_min, box.k_f_max, k_e, b_e, m_t)])
+        return _best_region(
+            cond_id, box, None,
+            _tangents(box.k_f_min, box.k_f_max, k_e, b_e, m_t),
+            _upper(db_slope, db_icept))
 
     gate = 4.0 * m_t * k_p <= k_d ** 2
     if not gate:
@@ -267,16 +339,14 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
         C = 2.0 * k_p / (k_d - s)
         slope2 = k_e / C - b_e
         icept2 = (k_e - k_p) / C + k_d - b_e
-        return _best_region(cond_id, box, [
-            [_lower(db_slope, db_icept), _lower(slope2, icept2)]])
+        return _best_region(cond_id, box, _lower(db_slope, db_icept),
+                            [_lower(slope2, icept2)], None)
 
     # NS2
     C_l = (k_d - s) / (2.0 * k_p)
     C_u = (k_d + s) / (2.0 * k_p)
     lo_line = (C_l * k_e - b_e, C_u * k_p + C_l * k_e - b_e)
     hi_line = (C_u * k_e - b_e, C_l * k_p + C_u * k_e - b_e)
-    db_lower, hi_upper = _lower(db_slope, db_icept), _upper(*hi_line)
-    band = [db_lower, _lower(*lo_line), hi_upper]
 
     # Window of K2 where the band's lower line over-constrains: there the
     # third raw inequality already holds with the overdamping bound alone.
@@ -286,16 +356,16 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
     u_min = k_e * (1.0 + box.k_f_min)
     u_max = k_e * (1.0 + box.k_f_max)
 
-    cands = [band]
+    lines = [_lower(*lo_line)]                 # the band first
     if u_min > u_lo and u_min < u_hi:
         # box enters the window from the left edge of the gain box; inside
         # it the lower band line may be replaced by a tangent to the
         # overdamping curve (valid up to the window's right edge, where the
         # band line is exactly the tangent).
         k_hi = box.k_f_max if u_max <= u_hi else (u_hi / k_e - 1.0)
-        cands += [[db_lower, tan, hi_upper] for tan in
-                  _tangents(box.k_f_min, min(k_hi, box.k_f_max), k_e, b_e, m_t)]
-    return _best_region(cond_id, box, cands)
+        lines += _tangents(box.k_f_min, min(k_hi, box.k_f_max), k_e, b_e, m_t)
+    return _best_region(cond_id, box, _lower(db_slope, db_icept), lines,
+                        _upper(*hi_line))
 
 
 def region_grid(cond_id: str, k_p: float, k_d: float, k_e: float, b_e: float,
@@ -303,19 +373,30 @@ def region_grid(cond_id: str, k_p: float, k_d: float, k_e: float, b_e: float,
     """Raw-inequality membership over the uniform (N+1)^2 gain grid.
 
     Straightforward point-by-point search; O(N^2) evaluations. Entry [i, j]
-    is the check at k_f index i (row) and b_f index j (column).
+    is the check at k_f index i (row) and b_f index j (column): the mode
+    parameters of switched_params, with K1 and B1 computed once and K2 once
+    per row, and check_no_switch on them. A nonpositive parameter raises
+    ValueError, as in SwitchedParams.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    ks = np.linspace(box.k_f_min, box.k_f_max, N + 1)
-    bs = np.linspace(box.b_f_min, box.b_f_max, N + 1)
-    out = np.zeros((N + 1, N + 1), dtype=bool)
-    for i in range(N + 1):
-        k_f = float(ks[i])
-        for j in range(N + 1):
-            sp = switched_params(k_p, k_d, k_f, float(bs[j]), k_e, b_e, m_t)
-            out[i, j] = check_no_switch(cond_id, sp)
-    return out
+    if cond_id not in _CONDITIONS:
+        raise ValueError(f"unknown condition {cond_id!r}")
+    bs = _linspace(box.b_f_min, box.b_f_max, N + 1)
+    K1 = k_p / m_t
+    B1 = k_d / m_t
+    rows = []
+    for k_f in _linspace(box.k_f_min, box.k_f_max, N + 1):
+        K2 = (1.0 + k_f) * k_e / m_t
+        lo = min(K1, B1, K2)
+        row = []
+        for b_f in bs:
+            B2 = ((1.0 + k_f) * b_e + b_f) / m_t
+            if min(lo, B2) <= 0.0:            # min(K1, B1, K2, B2), as SwitchedParams
+                raise ValueError("switched-system parameters must be positive")
+            row.append(_no_switch(cond_id, K1, B1, K2, B2))
+        rows.append(row)
+    return np.array(rows, dtype=bool)
 
 
 # ---------------------------------------------------------------------------

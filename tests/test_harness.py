@@ -314,7 +314,10 @@ def test_unknown_preset_raises():
     dict(dist_freq=(0.0, 0.0, 0.0, 0.0)),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_scenario_validation(bad):
-    with pytest.raises(ValueError):
+    # a bad vector field, of the wrong length or not finite, is named
+    name = next(iter(bad))
+    vector = name in ("p_s", "slide_dir", "dist_const", "dist_amp", "dist_freq")
+    with pytest.raises(ValueError, match=name if vector else None):
         Scenario(**bad)
 
 

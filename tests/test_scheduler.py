@@ -9,6 +9,7 @@ from uamsim.scheduler import (NS1, NS2, NS3, DegenerateDirection, GainBox,
                               pattern_search_J, region_explicit, region_grid,
                               schedule, switched_params)
 
+from region_oracle import best_region_every_clip, candidates
 from region_raster import _boundary_mask, _rasterize_polygon
 from switched_oracle import cycle_contraction, sample_params
 
@@ -111,7 +112,7 @@ def test_ns3_empty_band_exit_equals_full_tangent_clipping():
                 below += 1
             else:
                 above += 1
-        full = sched._best_region(NS3, box, [
+        full = best_region_every_clip(NS3, box, [
             [tan, sched._upper(-b_e, k_d - b_e)]
             for tan in sched._tangents(box.k_f_min, box.k_f_max, k_e, b_e, m_t)])
         reg = region_explicit(NS3, k_p, k_d, k_e, b_e, m_t, box)
@@ -149,20 +150,128 @@ def test_region_degenerate_box_point():
 
 
 def test_best_region_keeps_the_largest_clip_above_min_area():
-    nothing = [(1.0, 0.0, 0.0)]                            # k_f <= 0
-    sliver = [(1.0, 0.0, 0.1 + 1e-12)]                     # area ~3e-11
-    real = [(1.0, 0.0, 0.5), (0.0, 1.0, 40.0)]             # k_f <= 0.5
-    for cands in ([nothing, sliver, real], [real, sliver, nothing],
+    nothing = (1.0, 0.0, 0.0)                              # k_f <= 0
+    sliver = (1.0, 0.0, 0.1 + 1e-12)                       # area ~3e-11
+    real = (1.0, 0.0, 0.5)                                 # k_f <= 0.5
+    last = (0.0, 1.0, 40.0)                                # b_f <= 40: the box
+    for lines in ([nothing, sliver, real], [real, sliver, nothing],
                   [sliver, real, nothing]):
-        reg = sched._best_region(NS2, BOX, cands)
-        assert reg.condition_id == NS2
-        assert reg.area == pytest.approx(0.4 * 30.0)
-        assert sorted(reg.vertices) == pytest.approx(
-            [(0.1, 10.0), (0.1, 40.0), (0.5, 10.0), (0.5, 40.0)])
+        for first in (None, last):
+            reg = sched._best_region(NS2, BOX, first, lines, last)
+            assert reg.condition_id == NS2
+            assert reg.area == pytest.approx(0.4 * 30.0)
+            assert sorted(reg.vertices) == pytest.approx(
+                [(0.1, 10.0), (0.1, 40.0), (0.5, 10.0), (0.5, 40.0)])
     assert 0.0 < 30.0 * 1e-12 < sched._MIN_AREA
-    for cands in ([nothing, sliver], [sliver], [nothing], []):
-        reg = sched._best_region(NS1, BOX, cands)
-        assert reg.empty and reg.area == 0.0 and reg.condition_id == NS1
+    for lines in ([nothing, sliver], [sliver], [nothing], []):
+        for last_hp in (None, last):
+            reg = sched._best_region(NS1, BOX, None, lines, last_hp)
+            assert reg.empty and reg.area == 0.0 and reg.condition_id == NS1
+
+
+# tools/log_hashes.py's DRAW_BOXES: the default box, a tall one, a point and
+# a box of zero k_f width
+DRAW_BOXES = (GainBox(), GainBox(0.1, 1.0, 10.0, 200.0),
+              GainBox(0.5, 0.5, 20.0, 20.0), GainBox(0.2, 0.2, 10.0, 40.0))
+
+
+def _oracle_draw(rng, i):
+    """(k_p, k_d, k_e, b_e, m_t, box) of draw i: the boxes cycle through
+    DRAW_BOXES, boxes far from the origin, thin boxes, wide boxes and boxes
+    over six decades of magnitude."""
+    kind = i % 8
+    k_d_hi = 60.0
+    if kind < 4:
+        box = DRAW_BOXES[kind]
+    elif kind == 4:                                        # far from the origin
+        k, b = rng.uniform(50.0, 150.0), rng.uniform(500.0, 1500.0)
+        box = GainBox(k, k + rng.uniform(0.0, 50.0), b, b + rng.uniform(0.0, 500.0))
+        k_d_hi = 1500.0
+    elif kind == 5:                                        # thin, one or both ways
+        k, b = rng.uniform(0.05, 1.0), rng.uniform(1.0, 50.0)
+        wk, wb = 10.0 ** rng.uniform(-9.0, -3.0, size=2)
+        box = GainBox(k, k * (1.0 + wk * (i % 3 != 0)),
+                      b, b * (1.0 + (wb if i % 3 != 1 else 1.0)))
+    elif kind == 6:                                        # wide
+        k, b = rng.uniform(0.01, 2.0), rng.uniform(0.5, 60.0)
+        box = GainBox(k, k + rng.uniform(0.0, 3.0), b, b + rng.uniform(1e-3, 200.0))
+    else:                                                  # 1e-4 .. 1e2
+        k, b = 10.0 ** rng.uniform(-4.0, 2.0, size=2)
+        wk, wb = 10.0 ** rng.uniform(-9.0, 1.0, size=2)
+        box = GainBox(k, k * (1.0 + wk), b, b * (1.0 + wb))
+        k_d_hi = 10.0 + 2.0 * box.b_f_max
+    return (rng.uniform(1.0, 60.0), rng.uniform(1.0, k_d_hi),
+            rng.uniform(5.0, 600.0), rng.uniform(0.05, 1.5),
+            rng.uniform(1.0, 6.0), box)
+
+
+def _same_region(got, want):
+    return (got.condition_id, got.vertices, got.area) == (
+        want.condition_id, want.vertices, want.area)
+
+
+def test_screened_regions_equal_clipping_every_candidate(monkeypatch):
+    # every _best_region call of region_explicit, over 10^4 draws, must
+    # equal the oracle that clips every candidate from the box: the same
+    # vertices (in order), area and condition, bit for bit
+    screened = sched._best_region
+    families = []
+    counts = dict(multi=0, multi_nonempty=0, clips=0, every_clip=0)
+    clip = sched._clip_halfplane
+
+    def counted_clip(*args):
+        counts["clips"] += 1
+        return clip(*args)
+
+    def checked(cond_id, box, first, lines, last):
+        clips = counts["clips"]
+        got = screened(cond_id, box, first, lines, last)
+        want = best_region_every_clip(cond_id, box,
+                                      candidates(first, lines, last))
+        assert _same_region(got, want), (cond_id, box, first, lines, last)
+        if len(lines) > 1:
+            counts["multi"] += 1
+            counts["multi_nonempty"] += not got.empty
+            if len(families) < 400:
+                families.append((cond_id, box, first, lines, last))
+        if cond_id == NS2 and len(lines) > 1 and box == GainBox():
+            counts["every_clip"] += 3 * len(lines)
+        else:                             # count only these NS2 calls' clips
+            counts["clips"] = clips
+        return got
+
+    monkeypatch.setattr(sched, "_clip_halfplane", counted_clip)
+    monkeypatch.setattr(sched, "_best_region", checked)
+    rng = np.random.default_rng(22)
+    for i in range(10_000):
+        *params, box = _oracle_draw(rng, i)
+        for cond in (NS1, NS2, NS3):
+            region_explicit(cond, *params, box)
+    assert counts["multi"] > 4000 and counts["multi_nonempty"] > 2000, counts
+    # on the default box the screen clips about a quarter of what clipping
+    # every NS2 candidate from the box takes
+    assert 0 < counts["clips"] < 0.4 * counts["every_clip"], counts
+
+    # exact ties (a duplicated line) and near-ties (a line moved by 1e-16 to
+    # 1e-8 relative), inserted anywhere in real tangent families
+    monkeypatch.setattr(sched, "_best_region", screened)
+    ties = 0
+    for j in range(2000):
+        cond_id, box, first, lines, last = families[j % len(families)]
+        lines = list(lines)
+        a, b, c = lines[rng.integers(len(lines))]
+        if j % 2 == 0:
+            extra = (a, b, c)
+        else:
+            extra = (a, b, c * (1.0 + rng.choice((-1.0, 1.0))
+                                * 10.0 ** rng.uniform(-16.0, -8.0)))
+        lines.insert(rng.integers(len(lines) + 1), extra)
+        got = sched._best_region(cond_id, box, first, lines, last)
+        want = best_region_every_clip(cond_id, box,
+                                      candidates(first, lines, last))
+        assert _same_region(got, want), (cond_id, box, first, lines, last)
+        ties += not got.empty
+    assert ties > 500
 
 
 def test_schedule_breaks_area_ties_ns3_then_ns2_then_ns1(monkeypatch):
@@ -209,6 +318,79 @@ def test_region_grid_shape_and_counts():
     # stiff wall: every condition false on the whole grid
     for cond in (NS1, NS2, NS3):
         assert not region_grid(cond, 23.5, 19.5, 500.0, 0.1, 4.2, BOX, 10).any()
+
+
+def _region_grid_point_by_point(cond_id, k_p, k_d, k_e, b_e, m_t, box, N):
+    """region_grid with a SwitchedParams per grid point, as it was built."""
+    ks = np.linspace(box.k_f_min, box.k_f_max, N + 1)
+    bs = np.linspace(box.b_f_min, box.b_f_max, N + 1)
+    out = np.zeros((N + 1, N + 1), dtype=bool)
+    for i in range(N + 1):
+        k_f = float(ks[i])
+        for j in range(N + 1):
+            sp = switched_params(k_p, k_d, k_f, float(bs[j]), k_e, b_e, m_t)
+            out[i, j] = check_no_switch(cond_id, sp)
+    return out
+
+
+def test_region_grid_equals_a_switched_params_per_point():
+    rng = np.random.default_rng(60)
+    hits = {NS1: 0, NS2: 0, NS3: 0}
+    for d in range(60):
+        box = DRAW_BOXES[d % 2] if d % 3 else GainBox(
+            *sorted(rng.uniform(0.01, 2.0, size=2)),
+            *sorted(rng.uniform(1.0, 120.0, size=2)))
+        args = (rng.uniform(1.0, 30.0), rng.uniform(10.0, 60.0),
+                rng.uniform(5.0, 300.0), rng.uniform(0.1, 1.5),
+                rng.uniform(1.0, 6.0), box, 40)
+        for cond in (NS1, NS2, NS3):
+            got = region_grid(cond, *args)
+            want = _region_grid_point_by_point(cond, *args)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert (got == want).all(), (cond, args)
+            hits[cond] += bool(got.any())
+    assert min(hits.values()) >= 10, hits
+    # a nonpositive mode parameter raises, as SwitchedParams does: K1, B1
+    # and K2 of a row, and B2 at a grid point of a negative b_e
+    for args in ((-1.0, 19.5, 50.0, 1.0), (23.5, -1.0, 50.0, 1.0),
+                 (23.5, 19.5, -50.0, 1.0), (23.5, 19.5, 50.0, -30.0)):
+        for grid in (region_grid, _region_grid_point_by_point):
+            with pytest.raises(ValueError, match="must be positive"):
+                grid(NS2, *args, 4.0, BOX, 10)
+
+
+def _tangents_numpy(k_lo, k_hi, k_e, b_e, m_t):
+    """_tangents with np.linspace and sqrt(m_t k_e) in the loop, as it was."""
+    out = []
+    for c in np.linspace(k_lo, k_hi, sched._N_SUPPORT):
+        c = float(c)
+        slope = -b_e + math.sqrt(m_t * k_e) / math.sqrt(1.0 + c)
+        val = -b_e * (1.0 + c) + 2.0 * math.sqrt(m_t * k_e * (1.0 + c))
+        out.append(sched._lower(slope, val - slope * c))
+    return out
+
+
+def test_linspace_and_tangents_equal_numpy_bit_for_bit():
+    def bits(xs):
+        return [float(x).hex() for x in xs]
+
+    rng = np.random.default_rng(33)
+    spans = [(0.1, 1.0), (0.5, 0.5), (1.0, 0.1), (0.0, 0.0), (-0.0, 0.0),
+             (1e-310, 2e-310), (5e-324, 1e-323), (-3.0, 2.0)]
+    for _ in range(500):
+        lo = rng.normal() * 10.0 ** rng.uniform(-5.0, 5.0)
+        spans += [(lo, rng.normal() * 10.0 ** rng.uniform(-5.0, 5.0)),
+                  (lo, lo * (1.0 + 10.0 ** rng.uniform(-17.0, -8.0)))]
+    for lo, hi in spans:
+        for n in (2, 3, sched._N_SUPPORT, 126):
+            assert bits(sched._linspace(lo, hi, n)) == bits(np.linspace(lo, hi, n)), (lo, hi, n)
+    for i in range(1000):
+        k_lo = rng.uniform(0.01, 2.0)
+        k_hi = k_lo if i % 4 == 0 else k_lo + rng.uniform(0.0, 3.0)
+        args = (rng.uniform(5.0, 600.0), rng.uniform(0.05, 1.5), rng.uniform(1.0, 6.0))
+        got = sched._tangents(k_lo, k_hi, *args)
+        want = _tangents_numpy(k_lo, k_hi, *args)
+        assert [bits(hp) for hp in got] == [bits(hp) for hp in want], (k_lo, k_hi, args)
 
 
 def test_region_explicit_inner_and_interior_agreement_sampled():

@@ -9,8 +9,13 @@ alternates from one seed to the next, so a drift in the machine's speed
 hits both alike. Prints every run's end-to-end metrics per seed, then for
 each metric the medians and quartiles of both checkouts, the ratio of the
 medians, and the number of pairs the change won (by the direction that
-BENCHMARK.json gives the metric). Exits nonzero if any run reports that its
-outputs are not correct or that an operation failed.
+BENCHMARK.json gives the metric). Each metric's line ends with a verdict:
+`gain` when the change won at least 9 in 10 pairs and the gap between the
+medians exceeds the base's quartile spread, `worse than bound` when the
+change's median is worse than the base's by more than the metric's
+BENCHMARK.json bound (a fraction of the base median), and `unresolved`
+otherwise. Exits nonzero if any run reports that its outputs are not
+correct or that an operation failed.
 """
 
 import argparse
@@ -65,6 +70,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"base": args.base, "change": args.change}
     values = {side: {name: [] for name in better} for side in sides}
     bad = []
@@ -86,14 +92,20 @@ def main(argv=None) -> int:
     for name, direction in better.items():
         base, change = values["base"][name], values["change"][name]
         (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
-        wins = sum((c > b) if direction == "higher" else (c < b)
-                   for b, c in zip(base, change))
+        sign = 1.0 if direction == "higher" else -1.0
+        wins = sum(sign * (c - b) > 0.0 for b, c in zip(base, change))
+        if 10 * wins >= 9 * n and sign * (cm - bm) > b3 - b1:
+            verdict = "gain"
+        elif sign * (cm - bm) < -bound[name] * abs(bm):
+            verdict = "worse than bound"
+        else:
+            verdict = "unresolved"
         print(f"{name}: base median {bm:.4g} (quartiles {b1:.4g}-{b3:.4g}), "
               f"change median {cm:.4g} ({c1:.4g}-{c3:.4g}), "
               f"ratio {cm / bm if bm else math.nan:.3f}, "
               f"change better in {wins} of {n}, "
               f"median gap {abs(cm - bm):.4g} vs base quartile spread "
-              f"{b3 - b1:.4g}")
+              f"{b3 - b1:.4g}: {verdict}")
     for line in bad:
         print(f"NOT CORRECT: {line}", file=sys.stderr)
     return 1 if bad else 0
