@@ -201,52 +201,20 @@ def _upper(slope: float, icept: float):
     return (-slope, 1.0, icept)
 
 
-def _best_region(cond_id: str, box: GainBox, first, lines, last) -> GainRegion:
+def _best_region(cond_id: str, box: GainBox, shared, lines) -> GainRegion:
     """The largest clip of the box over the candidate half-plane sets
-    [first, line, last], one per line and clipped in that order (a None
-    first or last is left out); the first of equal areas, and empty if none
-    reaches _MIN_AREA.
+    [*shared, line], one per line; the first of equal areas, and empty if
+    none reaches _MIN_AREA.
 
-    The box is clipped by first once for all candidates. With more than one
-    line, a screen skips the candidates that cannot win: it estimates each
-    candidate's area as Q = box -> first -> last cut by its line alone, the
-    same set clipped in another order, and clips in full, in order, only
-    the candidates whose estimate is within 4 delta of the largest.
-
-    delta = 1e-9 * k_f_max * b_f_max bounds how far one computed area lies
-    from the exact area of its set. With K, V the largest |k_f|, |b_f| of
-    the box and W_k, W_b its widths: the value a k + b v - c of a line at a
-    vertex is rounded by e ~ 3 eps (|a| K + |b| V) (a line with a larger
-    |c| lies far from the box and clips it exactly), so a clip misplaces at
-    most the strip of the box within e of the line, of area <= 2 e
-    min(W_k/|b|, W_b/|a|) <= 6 eps (K W_b + V W_k) <= 24 eps K V. A new
-    vertex is off by ~3 eps in each coordinate, and the shoelace adds at
-    most 7 terms of size <= 2 K V. So one area is off by well under
-    500 eps K V ~ 1.1e-13 K V, and a candidate's full area A and estimate E
-    differ by at most 2 delta. The winner w then has E_w >= A_w - 2 delta
-    >= A_j - 2 delta >= E_j - 4 delta for every j, so it and every
-    candidate tying it pass the screen, and walking the survivors in order
-    with the same tests gives the same winner, vertices and area.
+    The box is clipped by the shared half-planes once, in order, and that
+    polygon once by each line: len(shared) + len(lines) clips in all.
     """
-    best = GainRegion(cond_id)
     base = box.corners()
-    if first is not None:
-        base = _clip_halfplane(base, *first)
-        if not base:                          # every candidate is empty
-            return best
-    if len(lines) > 1:
-        q = base if last is None else _clip_halfplane(base, *last)
-        est = [_area(_clip_halfplane(q, *hp)) for hp in lines]
-        top = -inf
-        for e in est:                         # the largest, ignoring NaN
-            if e > top:
-                top = e
-        cut = top - 4e-9 * box.k_f_max * box.b_f_max
-        lines = [hp for hp, e in zip(lines, est) if not e < cut]  # NaN kept
+    for hp in shared:
+        base = _clip_halfplane(base, *hp)
+    best = GainRegion(cond_id)
     for hp in lines:
         poly = _clip_halfplane(base, *hp)
-        if last is not None:
-            poly = _clip_halfplane(poly, *last)
         area = _area(poly)
         if area >= _MIN_AREA and area > best.area:
             best = GainRegion(cond_id, vertices=poly, area=area)
@@ -322,9 +290,8 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
         if k_d * k_d < 4.0 * m_t * k_e * (1.0 + box.k_f_min):
             return GainRegion(cond_id)
         return _best_region(
-            cond_id, box, None,
-            _tangents(box.k_f_min, box.k_f_max, k_e, b_e, m_t),
-            _upper(db_slope, db_icept))
+            cond_id, box, (_upper(db_slope, db_icept),),
+            _tangents(box.k_f_min, box.k_f_max, k_e, b_e, m_t))
 
     gate = 4.0 * m_t * k_p <= k_d ** 2
     if not gate:
@@ -339,8 +306,8 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
         C = 2.0 * k_p / (k_d - s)
         slope2 = k_e / C - b_e
         icept2 = (k_e - k_p) / C + k_d - b_e
-        return _best_region(cond_id, box, _lower(db_slope, db_icept),
-                            [_lower(slope2, icept2)], None)
+        return _best_region(cond_id, box, (_lower(db_slope, db_icept),),
+                            [_lower(slope2, icept2)])
 
     # NS2
     C_l = (k_d - s) / (2.0 * k_p)
@@ -364,8 +331,8 @@ def region_explicit(cond_id: str, k_p: float, k_d: float, k_e: float,
         # band line is exactly the tangent).
         k_hi = box.k_f_max if u_max <= u_hi else (u_hi / k_e - 1.0)
         lines += _tangents(box.k_f_min, min(k_hi, box.k_f_max), k_e, b_e, m_t)
-    return _best_region(cond_id, box, _lower(db_slope, db_icept), lines,
-                        _upper(*hi_line))
+    return _best_region(cond_id, box,
+                        (_lower(db_slope, db_icept), _upper(*hi_line)), lines)
 
 
 def region_grid(cond_id: str, k_p: float, k_d: float, k_e: float, b_e: float,
@@ -606,6 +573,10 @@ def schedule(k_p: float, k_d: float, k_e_hat: float, b_e_hat: float,
     fingerprint in tools/log_hashes.py, from random starts, 21 of 2055
     certified warm results had a J above the five-seed one by more than
     1e-7, by up to 1.32. No draw lost its certification.
+
+    Where the NS2 and NS1 regions are the same set (NS2's band line is
+    NS1's line), their computed areas can differ in the last place, and
+    that rounding decides which of the two is taken.
 
     Raises ValueError, through region_explicit, when a gain or an estimate
     is not finite or not positive.

@@ -11,8 +11,10 @@ tick index and t) and the first column, in schema order, that differs
 there. For every closed-loop run it also prints, base -> change,
 force_rms, motion_rms, settle_time, the final k_e_hat and b_e_hat and the
 number of events of each kind. For the schedule() draws it prints how many
-of the 1000 results differ. It only reports: the exit status is 0 whatever
-the differences.
+of the 1000 results differ, how many of those changed provenance or
+condition_id, the largest |change| of k_f and b_f relative to the box's
+width in that gain, and the largest |change| of J. It only reports: the
+exit status is 0 whatever the differences.
 """
 
 import math
@@ -31,7 +33,7 @@ DRAWS = "schedule-draws/7"
 
 def dump(path: str) -> None:
     """Pickle every fingerprint run's output, with the uamsim on sys.path."""
-    from log_hashes import log_runs, schedule_draws
+    from log_hashes import log_runs, schedule_results
     from uamsim import harness
 
     out = {"columns": harness.LOG_COLUMNS}
@@ -39,7 +41,8 @@ def dump(path: str) -> None:
         log = harness.run(sc)
         m = harness.metrics(log)
         out[label] = (log.data, log.events, {k: m[k] for k in METRICS})
-    out[DRAWS] = list(schedule_draws(7))
+    out[DRAWS] = [(repr(r), r.provenance, r.condition_id, r.k_f, r.b_f, r.J,
+                   box.widths) for box, r in schedule_results(7)]
     with open(path, "wb") as fh:
         pickle.dump(out, fh)
 
@@ -82,6 +85,27 @@ def report(label: str, columns, base, change) -> None:
                                       for k in sorted(c0.keys() | c1.keys())))
 
 
+def relative(d: float, width: float) -> float:
+    """|d| in units of a box width; inf for a change across a zero width."""
+    return abs(d) / width if width else (math.inf if d else 0.0)
+
+
+def report_draws(label: str, base, change) -> None:
+    moved = [(a, b) for a, b in zip(base, change) if a[0] != b[0]]
+    if not moved:
+        print(f"{label}: identical")
+        return
+    print(f"{label}: {len(moved)} of {len(base)} results differ; "
+          f"{sum(a[1] != b[1] for a, b in moved)} changed provenance, "
+          f"{sum(a[2] != b[2] for a, b in moved)} changed condition_id")
+    dk = max(relative(b[3] - a[3], a[6][0]) for a, b in moved)
+    db = max(relative(b[4] - a[4], a[6][1]) for a, b in moved)
+    dJ = max((abs(b[5] - a[5]) for a, b in moved
+              if a[5] is not None and b[5] is not None), default=0.0)
+    print(f"    max |change| of k_f {dk:.3g} and of b_f {db:.3g} of the box "
+          f"widths; max |change| of J {dJ:.3g}")
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -93,9 +117,7 @@ def main(argv=None) -> int:
     change.pop("columns")
     for label in base:
         if label == DRAWS:
-            n = sum(a != b for a, b in zip(base[label], change[label]))
-            print(f"{label}: " + (f"{n} of {len(base[label])} results differ"
-                                  if n else "identical"))
+            report_draws(label, base[label], change[label])
         else:
             report(label, columns, base[label], change[label])
     return 0

@@ -43,13 +43,19 @@ def log_hash(scenario: harness.Scenario) -> str:
     return h.hexdigest()
 
 
-def schedule_draws(seed: int):
-    """repr of schedule() on each of the 1000 draws from default_rng(seed)."""
+def schedule_results(seed: int):
+    """(box, schedule() result) of each of the 1000 draws from
+    default_rng(seed)."""
     rng = np.random.default_rng(seed)
     for i in range(1000):
         k_p, k_d, k_e, b_e, m = (rng.uniform(lo, hi) for lo, hi in DRAW_RANGES)
         box = DRAW_BOXES[i % len(DRAW_BOXES)]
-        yield repr(schedule(k_p, k_d, k_e, b_e, m, box))
+        yield box, schedule(k_p, k_d, k_e, b_e, m, box)
+
+
+def schedule_draws(seed: int):
+    """repr of schedule() on each of the 1000 draws from default_rng(seed)."""
+    return (repr(r) for _, r in schedule_results(seed))
 
 
 def schedule_hash(seed: int) -> str:
