@@ -17,7 +17,7 @@ motion-plane references are tuples of two Python floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .estimator import EnvEstimate
@@ -148,7 +148,10 @@ def switch_mode(ref: ReferenceState, new_mode: str,
     if new_mode == ref.mode:
         raise ValueError("switch_mode requires a different mode")
     if new_mode == CONTACT:
-        return replace(ref, mode=CONTACT, f_fr=float(f_f_measured), f_fr_dot=0.0)
-    if new_mode == FREE:
-        return replace(ref, mode=FREE, f_fr=0.0, f_fr_dot=0.0)
-    raise ValueError(f"unknown mode {new_mode!r}")
+        f_fr = float(f_f_measured)
+    elif new_mode == FREE:
+        f_fr = 0.0
+    else:
+        raise ValueError(f"unknown mode {new_mode!r}")
+    return _reference(ref.x_fr, ref.x_fr_dot, ref.x_fr_ddot, f_fr, 0.0,
+                      ref.x_mr, ref.x_mr_dot, ref.x_mr_ddot, new_mode)
