@@ -9,12 +9,12 @@ identical; if they are not, the largest |change| of each log column that
 changed, and where the change began: the first log row that differs (its
 tick index and t) and the first column, in schema order, that differs
 there. For every closed-loop run it also prints, base -> change,
-force_rms, motion_rms, settle_time, the final k_e_hat and b_e_hat and the
-number of events of each kind. For the schedule() draws it prints how many
-of the 1000 results differ, how many of those changed provenance or
-condition_id, the largest |change| of k_f and b_f relative to the box's
-width in that gain, and the largest |change| of J. It only reports: the
-exit status is 0 whatever the differences.
+force_rms, motion_rms, settle_time, the final k_e_hat and b_e_hat, whether
+the events are identical and the number of events of each kind. For the
+schedule() draws it prints how many of the 1000 results differ, how many of
+those changed provenance or condition_id, the largest |change| of k_f and
+b_f relative to the box's width in that gain, and the largest |change| of
+J. It only reports: the exit status is 0 whatever the differences.
 """
 
 import math
@@ -81,8 +81,9 @@ def report(label: str, columns, base, change) -> None:
         rel = f" ({(b - a) / abs(a):+.3%})" if math.isfinite(a) and a else ""
         print(f"    {k}: {a:.6g} -> {b:.6g}{rel}")
     c0, c1 = (Counter(kind for _, kind, _ in ev) for ev in (ev0, ev1))
-    print("    events: " + ", ".join(f"{k} {c0[k]} -> {c1[k]}"
-                                      for k in sorted(c0.keys() | c1.keys())))
+    print(f"    events ({'identical' if ev0 == ev1 else 'differ'}): "
+          + ", ".join(f"{k} {c0[k]} -> {c1[k]}"
+                      for k in sorted(c0.keys() | c1.keys())))
 
 
 def relative(d: float, width: float) -> float:
