@@ -60,8 +60,9 @@ class SurfaceModel:
         err = np.abs(M.T @ M - np.eye(3)).max()
         if not err <= 1e-12:
             raise ValueError(f"[B_f B_m] not orthonormal (max deviation {err:.3e})")
-        self.x_fs = float(self.B_f @ self.p_s)
-        self.B_f_floats = tuple(self.B_f.tolist())
+        self.B_f_floats = bx, by, bz = tuple(self.B_f.tolist())
+        px, py, pz = self.p_s.tolist()
+        self.x_fs = bx * px + by * py + bz * pz     # in floats, left to right
         self.B_m_rows = tuple(map(tuple, self.B_m.tolist()))
         # the plant step's surface constants: k_e, b_e, x_fs, B_f
         self._consts = (self.k_e, self.b_e, self.x_fs, *self.B_f_floats)
