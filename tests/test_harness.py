@@ -453,6 +453,28 @@ def test_turning_the_scene_about_the_vertical_changes_nothing(name):
         assert events == want_events, psi
 
 
+@pytest.mark.parametrize("name", ["experiment1-fast", "experiment2-tilted"])
+def test_moving_the_scene_changes_nothing(name):
+    # p_s moved by a random offset, and the start with it: the force
+    # direction's position relative to the surface, the force and the motion
+    # tracking error are those of the unmoved run, with the same events at
+    # the same ticks
+    def signals(sc):
+        log = run(sc)
+        data = [log.column("x_f") - sc.surface().x_fs, log.column("f_f")] + [
+            log.column(f"x_m{i}") - log.column(f"x_mr{i}") for i in (1, 2)]
+        kinds = [(round(t / sc.plant_dt), kind) for t, kind, _ in log.events]
+        return np.column_stack(data), kinds
+
+    base = preset(name, duration=10.0)
+    want, want_events = signals(base)
+    offset = np.random.default_rng(140).uniform(-5.0, 5.0, 3)
+    got, events = signals(dataclasses.replace(
+        base, p_s=tuple(float(p + d) for p, d in zip(base.p_s, offset))))
+    assert np.abs(got - want).max() <= 1e-9
+    assert events == want_events
+
+
 def test_scenario_rejects_unknown_profiles():
     with pytest.raises(ValueError):
         Scenario(force_profile="ramp")
