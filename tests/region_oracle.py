@@ -13,7 +13,7 @@ same half-plane sets, whose vertices that order rounds differently, so it
 agrees with `_best_region` only up to rounding.
 """
 
-from uamsim.scheduler import _MIN_AREA, GainRegion, _shoelace
+from uamsim.scheduler import _MIN_AREA, NS3, GainRegion, _shoelace
 
 
 def clip_halfplane(poly, a, b, c):
@@ -63,6 +63,6 @@ def old_order(cond_id, shared, lines) -> list:
     """The same half-plane sets in the builder's former clip order: NS3's
     band edge after its tangent, NS1's and NS2's lower edge before the line
     and NS2's upper edge after it."""
-    if cond_id == "NS3":
+    if cond_id == NS3:
         return [[line, *shared] for line in lines]
     return [[shared[0], line, *shared[1:]] for line in lines]

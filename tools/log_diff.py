@@ -96,13 +96,17 @@ def report_draws(label: str, base, change) -> None:
     if not moved:
         print(f"{label}: identical")
         return
+    n_prov = n_cond = 0
+    dk = db = dJ = 0.0
+    for (_, p0, c0, k0, b0, J0, (wk, wb)), (_, p1, c1, k1, b1, J1, _) in moved:
+        n_prov += p0 != p1
+        n_cond += c0 != c1
+        dk = max(dk, relative(k1 - k0, wk))
+        db = max(db, relative(b1 - b0, wb))
+        if J0 is not None and J1 is not None:
+            dJ = max(dJ, abs(J1 - J0))
     print(f"{label}: {len(moved)} of {len(base)} results differ; "
-          f"{sum(a[1] != b[1] for a, b in moved)} changed provenance, "
-          f"{sum(a[2] != b[2] for a, b in moved)} changed condition_id")
-    dk = max(relative(b[3] - a[3], a[6][0]) for a, b in moved)
-    db = max(relative(b[4] - a[4], a[6][1]) for a, b in moved)
-    dJ = max((abs(b[5] - a[5]) for a, b in moved
-              if a[5] is not None and b[5] is not None), default=0.0)
+          f"{n_prov} changed provenance, {n_cond} changed condition_id")
     print(f"    max |change| of k_f {dk:.3g} and of b_f {db:.3g} of the box "
           f"widths; max |change| of J {dJ:.3g}")
 
