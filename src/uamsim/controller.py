@@ -90,7 +90,9 @@ def dob_update(dob: DOBState, meas: Measurement, u_bar_f: float, u_bar_m,
     s1 = mg * g1 - u1 - m_bar * (L_m * v1)
     b = math.exp(-L_m * dt)
     c = 1.0 - b
-    return DOBState(z_f=z_f, z_m=(b * z0 + c * s0, b * z1 + c * s1))
+    out = object.__new__(DOBState)       # skip the dataclass __init__
+    out.z_f, out.z_m = z_f, (b * z0 + c * s0, b * z1 + c * s1)
+    return out
 
 
 def control_force(ref: ReferenceState, meas: Measurement, delta_f_hat: float,

@@ -69,7 +69,8 @@ def rlse_update(est: EnvEstimate, x_f: float, x_dot_f: float, f_f: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if not all(map(math.isfinite, (x_f, x_dot_f, f_f, x_fs))):
+    if not (-math.inf < x_f < math.inf and -math.inf < x_dot_f < math.inf
+            and -math.inf < f_f < math.inf and -math.inf < x_fs < math.inf):
         raise ValueError("non-finite estimator inputs")
 
     y0, y1 = -(x_f - x_fs), -x_dot_f                 # 1x2 regressor Y

@@ -15,6 +15,7 @@ import struct
 import timeit
 from collections import deque
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
@@ -370,7 +371,9 @@ def run(scenario: Scenario) -> RunLog:
 
     for k in range(n_ticks):
         t = k * ctl_every * dt
-        if not all(map(math.isfinite, (*st.p_e, *st.v_e))):
+        (px, py, pz), (vx, vy, vz) = st.p_e, st.v_e
+        if not (-inf < px < inf and -inf < py < inf and -inf < pz < inf
+                and -inf < vx < inf and -inf < vy < inf and -inf < vz < inf):
             raise RuntimeError(f"non-finite plant state at t={t:.3f}")
 
         meas = plantmod.measure(st, surface, pcfg, rng)

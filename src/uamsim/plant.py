@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import cos, sin
+from math import copysign, cos, inf, sin
 
 import numpy as np
 
@@ -156,10 +156,11 @@ class PlantConfig:
             raise ValueError("dt must be positive")
         if self.tau_att < 0.0:
             raise ValueError("tau_att must be nonnegative")
-        # the plant step's constants: m_t, m_t g and the disturbance terms
+        # the plant step's constants: m_t, m_t g, the disturbance terms and,
+        # when it does not vary, its force at the three stage times
         d = self.disturbance
         self._consts = (self.m_t, self.m_t * self.g, d, d.tangential_friction,
-                        d._steady)
+                        d._steady and (d._steady,) * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -209,76 +210,101 @@ def contact_force(x_f: float, x_dot_f: float, surface: SurfaceModel) -> float:
     return -surface.k_e * pen - surface.b_e * x_dot_f
 
 
-def _acceleration(t, px, py, pz, vx, vy, vz, rx, ry, rz, T, sc, cc):
-    """The plant's v' = a(t, p_e, v_e, phi) under thrust T, in floats, from
-    the _consts of the surface (sc) and the plant configuration (cc)."""
-    k_e, b_e, x_fs, bx, by, bz = sc
-    m, mg, dist, fric, steady = cc
-    dx, dy, dz = dist.force(t) if steady is None else steady
-    cx, sx = cos(rx), sin(rx)
-    cy, sy = cos(ry), sin(ry)
-    cz, sz = cos(rz), sin(rz)
-    fx = T * (cz * sy * cx + sz * sx) + dx     # T * R(phi) e3, inlined
-    fy = T * (sz * sy * cx - cz * sx) + dy
-    fz = T * (cx * cy) + dz - mg
-
-    pen = bx * px + by * py + bz * pz - x_fs
-    if pen > 0.0:
-        x_dot_f = bx * vx + by * vy + bz * vz
-        fn = -k_e * pen - b_e * x_dot_f
-        fx += fn * bx
-        fy += fn * by
-        fz += fn * bz
-        if fric > 0.0:
-            # viscous tangential friction: -c * B_m B_m^T v_e
-            fx -= fric * (vx - x_dot_f * bx)
-            fy -= fric * (vy - x_dot_f * by)
-            fz -= fric * (vz - x_dot_f * bz)
-    return fx / m, fy / m, fz / m
-
-
 def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
     """One classical RK4 step y(t) -> y(t + h) of the plant, y = p_e + v_e + phi.
 
-    The state is nine floats and the step is unrolled per state, with the
-    operation order of a generic RK4 step on a list (stage k_i of every
-    element, then y + h/6 (k1 + 2 k2 + 2 k3 + k4)), so the result is the
-    same to the last bit. The attitude follows phi' = (phi_r - phi)/tau_att,
-    or phi' = 0 when there is no lag.
+    Unrolled per state and stage with the acceleration written out, in the
+    operation order of rk4 on a list (stage k_i of every element, then
+    y + h/6 (k1 + 2 k2 + 2 k3 + k4)), so the result is the same to the last
+    bit; phi' = (phi_r - phi)/tau_att, or 0 without lag. A commanded yaw
+    equal to the state's is every stage's yaw, so its cos and sin are taken
+    once; but not -0.0, which turns +0.0 after the first stage.
     """
-    sc, cc, tau = surface._consts, cfg._consts, cfg.tau_att
-    acc = _acceleration
-    rx_r, ry_r, rz_r = phi_r
-    no_lag = (0.0, 0.0, 0.0)
-    px, py, pz, vx, vy, vz, rx, ry, rz = y
+    k_e, b_e, x_fs, bx, by, bz = surface._consts
+    m, mg, dist, fric, steady = cfg._consts
+    tau, lag = cfg.tau_att, cfg.tau_att > 0.0
+    (rx_r, ry_r, rz_r), (px, py, pz, vx, vy, vz, rx, ry, rz) = phi_r, y
     h2 = 0.5 * h
-    ax1, ay1, az1 = acc(t, px, py, pz, vx, vy, vz, rx, ry, rz, T, sc, cc)
+    (dx1, dy1, dz1), (dx2, dy2, dz2), (dx4, dy4, dz4) = steady or (
+        dist.force(t), dist.force(t + h2), dist.force(t + h))
+    one_yaw = rz == rz_r and (rz != 0.0 or copysign(1.0, rz) > 0.0)
+
+    cz, sz = cos(rz), sin(rz)
+    cx, sx, cy, sy = cos(rx), sin(rx), cos(ry), sin(ry)
+    fx = T * (cz * sy * cx + sz * sx) + dx1     # T * R(phi) e3, inlined
+    fy = T * (sz * sy * cx - cz * sx) + dy1
+    fz = T * (cx * cy) + dz1 - mg
+    pen = bx * px + by * py + bz * pz - x_fs
+    if pen > 0.0:
+        xd = bx * vx + by * vy + bz * vz
+        fn = -k_e * pen - b_e * xd
+        fx, fy, fz = fx + fn * bx, fy + fn * by, fz + fn * bz
+        if fric > 0.0:      # viscous tangential friction: -c B_m B_m^T v_e
+            fx, fy, fz = (fx - fric * (vx - xd * bx), fy - fric * (vy - xd * by),
+                          fz - fric * (vz - xd * bz))
+    ax1, ay1, az1 = fx / m, fy / m, fz / m
     wx1, wy1, wz1 = ((rx_r - rx) / tau, (ry_r - ry) / tau,
-                     (rz_r - rz) / tau) if tau > 0.0 else no_lag
+                     (rz_r - rz) / tau) if lag else (0.0, 0.0, 0.0)
 
     px2, py2, pz2 = px + h2 * vx, py + h2 * vy, pz + h2 * vz
     vx2, vy2, vz2 = vx + h2 * ax1, vy + h2 * ay1, vz + h2 * az1
     rx2, ry2, rz2 = rx + h2 * wx1, ry + h2 * wy1, rz + h2 * wz1
-    ax2, ay2, az2 = acc(t + h2, px2, py2, pz2, vx2, vy2, vz2, rx2, ry2, rz2,
-                        T, sc, cc)
+    cz, sz = (cz, sz) if one_yaw else (cos(rz2), sin(rz2))
+    cx, sx, cy, sy = cos(rx2), sin(rx2), cos(ry2), sin(ry2)
+    fx = T * (cz * sy * cx + sz * sx) + dx2
+    fy = T * (sz * sy * cx - cz * sx) + dy2
+    fz = T * (cx * cy) + dz2 - mg
+    pen = bx * px2 + by * py2 + bz * pz2 - x_fs
+    if pen > 0.0:
+        xd = bx * vx2 + by * vy2 + bz * vz2
+        fn = -k_e * pen - b_e * xd
+        fx, fy, fz = fx + fn * bx, fy + fn * by, fz + fn * bz
+        if fric > 0.0:
+            fx, fy, fz = (fx - fric * (vx2 - xd * bx), fy - fric * (vy2 - xd * by),
+                          fz - fric * (vz2 - xd * bz))
+    ax2, ay2, az2 = fx / m, fy / m, fz / m
     wx2, wy2, wz2 = ((rx_r - rx2) / tau, (ry_r - ry2) / tau,
-                     (rz_r - rz2) / tau) if tau > 0.0 else no_lag
+                     (rz_r - rz2) / tau) if lag else (0.0, 0.0, 0.0)
 
     px3, py3, pz3 = px + h2 * vx2, py + h2 * vy2, pz + h2 * vz2
     vx3, vy3, vz3 = vx + h2 * ax2, vy + h2 * ay2, vz + h2 * az2
     rx3, ry3, rz3 = rx + h2 * wx2, ry + h2 * wy2, rz + h2 * wz2
-    ax3, ay3, az3 = acc(t + h2, px3, py3, pz3, vx3, vy3, vz3, rx3, ry3, rz3,
-                        T, sc, cc)
+    cz, sz = (cz, sz) if one_yaw else (cos(rz3), sin(rz3))
+    cx, sx, cy, sy = cos(rx3), sin(rx3), cos(ry3), sin(ry3)
+    fx = T * (cz * sy * cx + sz * sx) + dx2
+    fy = T * (sz * sy * cx - cz * sx) + dy2
+    fz = T * (cx * cy) + dz2 - mg
+    pen = bx * px3 + by * py3 + bz * pz3 - x_fs
+    if pen > 0.0:
+        xd = bx * vx3 + by * vy3 + bz * vz3
+        fn = -k_e * pen - b_e * xd
+        fx, fy, fz = fx + fn * bx, fy + fn * by, fz + fn * bz
+        if fric > 0.0:
+            fx, fy, fz = (fx - fric * (vx3 - xd * bx), fy - fric * (vy3 - xd * by),
+                          fz - fric * (vz3 - xd * bz))
+    ax3, ay3, az3 = fx / m, fy / m, fz / m
     wx3, wy3, wz3 = ((rx_r - rx3) / tau, (ry_r - ry3) / tau,
-                     (rz_r - rz3) / tau) if tau > 0.0 else no_lag
+                     (rz_r - rz3) / tau) if lag else (0.0, 0.0, 0.0)
 
     px4, py4, pz4 = px + h * vx3, py + h * vy3, pz + h * vz3
     vx4, vy4, vz4 = vx + h * ax3, vy + h * ay3, vz + h * az3
     rx4, ry4, rz4 = rx + h * wx3, ry + h * wy3, rz + h * wz3
-    ax4, ay4, az4 = acc(t + h, px4, py4, pz4, vx4, vy4, vz4, rx4, ry4, rz4,
-                        T, sc, cc)
+    cz, sz = (cz, sz) if one_yaw else (cos(rz4), sin(rz4))
+    cx, sx, cy, sy = cos(rx4), sin(rx4), cos(ry4), sin(ry4)
+    fx = T * (cz * sy * cx + sz * sx) + dx4
+    fy = T * (sz * sy * cx - cz * sx) + dy4
+    fz = T * (cx * cy) + dz4 - mg
+    pen = bx * px4 + by * py4 + bz * pz4 - x_fs
+    if pen > 0.0:
+        xd = bx * vx4 + by * vy4 + bz * vz4
+        fn = -k_e * pen - b_e * xd
+        fx, fy, fz = fx + fn * bx, fy + fn * by, fz + fn * bz
+        if fric > 0.0:
+            fx, fy, fz = (fx - fric * (vx4 - xd * bx), fy - fric * (vy4 - xd * by),
+                          fz - fric * (vz4 - xd * bz))
+    ax4, ay4, az4 = fx / m, fy / m, fz / m
     wx4, wy4, wz4 = ((rx_r - rx4) / tau, (ry_r - ry4) / tau,
-                     (rz_r - rz4) / tau) if tau > 0.0 else no_lag
+                     (rz_r - rz4) / tau) if lag else (0.0, 0.0, 0.0)
 
     h6 = h / 6.0
     return (px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
@@ -335,8 +361,13 @@ def _step_with_events(rk, surface, y, y1, t, h):
 def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
          cfg: PlantConfig) -> PlantState:
     """Integrate the plant one dt under constant thrust/attitude commands."""
-    phi_r = tuple(map(float, phi_r))
-    if len(phi_r) != 3 or not all(map(math.isfinite, (T, *phi_r))):
+    try:
+        rx_r, ry_r, rz_r = phi_r
+    except ValueError:          # not three angles: fail the check below
+        rx_r = ry_r = rz_r = inf
+    phi_r = rx_r, ry_r, rz_r = float(rx_r), float(ry_r), float(rz_r)
+    if not (-inf < T < inf and -inf < rx_r < inf and -inf < ry_r < inf
+            and -inf < rz_r < inf):
         raise ValueError("plant inputs must be finite, with three angles")
     if T < 0.0:
         raise ValueError("thrust must be nonnegative")
@@ -345,8 +376,9 @@ def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
     y = (*state.p_e, *state.v_e, *(phi_r if no_lag else state.phi))
     t, h = state.t, cfg.dt
     y1 = _rk4(t, y, h, T, phi_r, surface, cfg)
-    in_contact = _penetration(y1, surface) > 0.0
-    if in_contact != (_penetration(y, surface) > 0.0):   # crosses the surface
+    _, _, x_fs, bx, by, bz = surface._consts       # _penetration, inlined
+    in_contact = bx * y1[0] + by * y1[1] + bz * y1[2] - x_fs > 0.0
+    if in_contact != (bx * y[0] + by * y[1] + bz * y[2] - x_fs > 0.0):
         y1 = _step_with_events(
             lambda t, y, h: _rk4(t, y, h, T, phi_r, surface, cfg),
             surface, y, y1, t, h)

@@ -55,13 +55,7 @@ def _reference(x_fr, x_fr_dot, x_fr_ddot, f_fr, f_fr_dot, x_mr, x_mr_dot,
     return r
 
 
-def _setpoint(x_md) -> tuple[float, float]:
-    x_md = tuple(map(float, x_md))
-    if len(x_md) != 2:
-        raise ValueError("the motion setpoint must have two elements")
-    return x_md
-
-
+_BAD_SETPOINT = "the motion setpoint must have two elements"
 _PHI2_TAYLOR = tuple(1.0 / math.factorial(k + 2) for k in range(10))  # z^k
 
 
@@ -71,41 +65,44 @@ def _phi12(z: float) -> tuple[float, float]:
     if abs(z) >= 0.2:
         p1 = math.expm1(z) / z
         return p1, (p1 - 1.0) / z
-    p2 = sum(c * z ** k for k, c in enumerate(_PHI2_TAYLOR))
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = _PHI2_TAYLOR
+    p2 = (c0 + c1 * z + c2 * z ** 2 + c3 * z ** 3 + c4 * z ** 4 + c5 * z ** 5
+          + c6 * z ** 6 + c7 * z ** 7 + c8 * z ** 8 + c9 * z ** 9)
     return 1.0 + z * p2, p2
 
 
 @lru_cache(maxsize=16)
-def _tracker(wn: float, dt: float) -> tuple[float, float, float, float]:
-    """(cv, ce, dv, de) of the exact step of x'' = -2 wn x' - wn^2 e, e = x - c:
-    dx = cv x' - ce e and x'(dt) = dv x' - de e. With z = wn dt, ce is
-    1 - (1 + z) exp(-z) = z^2 exp(-z) phi_2(z), without its cancellation."""
+def _tracker(wn: float, dt: float) -> tuple:
+    """(cv, ce, dv, de, -2 wn, wn^2) of the exact step of x'' = -2 wn x' -
+    wn^2 e, e = x - c: dx = cv x' - ce e, x'(dt) = dv x' - de e. ce is
+    1 - (1 + z) exp(-z) = z^2 exp(-z) phi_2(z), z = wn dt, uncancelled."""
     if wn <= 0.0:
         raise ValueError("omega_n must be positive")
     z, ew = wn * dt, math.exp(-wn * dt)
-    return dt * ew, z * z * ew * _phi12(z)[1], (1.0 - z) * ew, wn * z * ew
-
-
-def _track(x, v, target, wn: float, dt: float):
-    """Positions, velocities and accelerations after one exact tracker step."""
-    cv, ce, dv, de = _tracker(wn, dt)
-    out = []
-    for x0, v0, c in zip(x, v, target):
-        e0 = x0 - c
-        x1, v1 = x0 + (cv * v0 - ce * e0), dv * v0 - de * e0
-        out.append((x1, v1, -2.0 * wn * v1 - wn * wn * (x1 - c)))
-    return zip(*out)
+    return (dt * ew, z * z * ew * _phi12(z)[1], (1.0 - z) * ew, wn * z * ew,
+            -2.0 * wn, wn * wn)
 
 
 def free_step(ref: ReferenceState, x_fd: float, x_md, omega_n: float,
               dt: float) -> ReferenceState:
-    """Advance the free-flight generator one controller step."""
+    """Advance the free-flight generator one exact step on each axis."""
     if ref.mode != FREE:
         raise ValueError("free_step called while not in free mode")
-    xs, vs, acc = _track((ref.x_fr, *ref.x_mr), (ref.x_fr_dot, *ref.x_mr_dot),
-                         (x_fd, *_setpoint(x_md)), omega_n, dt)
-    return _reference(xs[0], vs[0], acc[0], 0.0, 0.0, xs[1:], vs[1:], acc[1:],
-                      FREE)
+    try:
+        c0, c1 = x_md
+    except ValueError:
+        raise ValueError(_BAD_SETPOINT) from None
+    c0, c1 = float(c0), float(c1)
+    cv, ce, dv, de, w2, ww = _tracker(omega_n, dt)
+    x, v, e = ref.x_fr, ref.x_fr_dot, ref.x_fr - x_fd
+    x, v = x + (cv * v - ce * e), dv * v - de * e
+    (x0, x1), (v0, v1) = ref.x_mr, ref.x_mr_dot
+    e0, e1 = x0 - c0, x1 - c1
+    x0, v0 = x0 + (cv * v0 - ce * e0), dv * v0 - de * e0
+    x1, v1 = x1 + (cv * v1 - ce * e1), dv * v1 - de * e1
+    return _reference(x, v, w2 * v - ww * (x - x_fd), 0.0, 0.0, (x0, x1),
+                      (v0, v1), (w2 * v0 - ww * (x0 - c0),
+                                 w2 * v1 - ww * (x1 - c1)), FREE)
 
 
 def contact_step(ref: ReferenceState, f_fd: float, x_md, est: EnvEstimate,
@@ -124,7 +121,7 @@ def contact_step(ref: ReferenceState, f_fd: float, x_md, est: EnvEstimate,
     if not (est.k_hat > 0.0 and est.b_hat > 0.0):
         raise ValueError("estimates k_hat and b_hat must be positive")
     b, kb = est.b_hat, est.k_hat / est.b_hat
-    cv, ce, dv, de = _tracker(omega_n, dt)           # cv = dt exp(-w dt)
+    cv, ce, dv, de, w2, ww = _tracker(omega_n, dt)   # cv = dt exp(-w dt)
     e0, fd0, v0 = ref.f_fr - f_fd, ref.f_fr_dot, ref.x_fr_dot
     df, fd1 = cv * fd0 - ce * e0, dv * fd0 - de * e0
     p1, p2 = _phi12((omega_n - kb) * dt)
@@ -132,9 +129,18 @@ def contact_step(ref: ReferenceState, f_fd: float, x_md, est: EnvEstimate,
     v1 = v0 * math.exp(-kb * dt) - cv / b * (fd0 * p1 - omega_n * q * p2)
     x1 = ref.x_fr - (b * (v1 - v0) + df) / est.k_hat
 
-    xm, vm, am = _track(ref.x_mr, ref.x_mr_dot, _setpoint(x_md), omega_n, dt)
-    return _reference(x1, v1, -kb * v1 - fd1 / b, ref.f_fr + df, fd1, xm, vm,
-                      am, CONTACT)
+    try:
+        c0, c1 = x_md
+    except ValueError:
+        raise ValueError(_BAD_SETPOINT) from None
+    c0, c1 = float(c0), float(c1)
+    (m0, m1), (u0, u1) = ref.x_mr, ref.x_mr_dot
+    e0, e1 = m0 - c0, m1 - c1
+    m0, u0 = m0 + (cv * u0 - ce * e0), dv * u0 - de * e0
+    m1, u1 = m1 + (cv * u1 - ce * e1), dv * u1 - de * e1
+    return _reference(x1, v1, -kb * v1 - fd1 / b, ref.f_fr + df, fd1, (m0, m1),
+                      (u0, u1), (w2 * u0 - ww * (m0 - c0),
+                                 w2 * u1 - ww * (m1 - c1)), CONTACT)
 
 
 def switch_mode(ref: ReferenceState, new_mode: str,

@@ -7,6 +7,7 @@ from uamsim.estimator import (ContactDetector, EnvEstimate, RlseConfig,
                               rlse_update)
 from uamsim.scheduler import (PATTERN_SEARCH, GainBox, lambda_pair, schedule,
                               switched_params)
+import tick_oracle
 from estimator_reference import lambda_max_2x2
 from switched_oracle import cycle_contraction
 
@@ -205,3 +206,27 @@ def test_detector_threshold():
     for _ in range(10):
         det.update(-0.09)
     assert not det.in_contact
+
+
+def test_rlse_update_rejects_exactly_the_nonfinite_inputs():
+    # the check written as comparisons accepts what math.isfinite accepts:
+    # every combination of finite, NaN and infinite inputs, as floats,
+    # ints and numpy scalars
+    cfg = RlseConfig()
+    est = cfg.initial_estimate()
+    values = (0.01, -0.0, 0, np.float64(0.02), math.nan, math.inf, -math.inf,
+              np.float64(math.nan), np.float64(-math.inf))
+    rejected = 0
+    for x_f in values:
+        for x_dot_f in values:
+            for f_f in values:
+                for x_fs in values:
+                    args = (x_f, x_dot_f, f_f, x_fs)
+                    if tick_oracle.rlse_inputs_finite(*args):
+                        rlse_update(est, *args, cfg, 2e-3)
+                    else:
+                        rejected += 1
+                        with pytest.raises(ValueError,
+                                           match="non-finite estimator inputs"):
+                            rlse_update(est, *args, cfg, 2e-3)
+    assert 0 < rejected < len(values) ** 4

@@ -182,10 +182,39 @@ def test_step_rejects_nonfinite():
         step(st, math.nan, np.zeros(3), s, cfg)
     with pytest.raises(ValueError):
         step(st, 10.0, [math.inf, 0.0, 0.0], s, cfg)
-    with pytest.raises(ValueError):
-        step(st, 10.0, [0.0, 0.0], s, cfg)
+    bad = "plant inputs must be finite, with three angles"
+    for phi_r in ([0.0, 0.0], (0.0, 0.0, 0.0, 0.0), np.zeros(2), np.zeros(4)):
+        with pytest.raises(ValueError, match=bad):
+            step(st, 10.0, phi_r, s, cfg)
+    for T in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=bad):
+            step(st, T, np.zeros(3), s, cfg)
+    for k in range(3):
+        for v in (math.inf, -math.inf, math.nan):
+            phi_r = [0.0, 0.0, 0.0]
+            phi_r[k] = v
+            with pytest.raises(ValueError, match=bad):
+                step(st, 10.0, phi_r, s, cfg)
     with pytest.raises(ValueError, match="nonnegative"):
         step(st, -1.0, np.zeros(3), s, cfg)
+
+
+def test_step_converts_the_commanded_angles_to_floats():
+    # a list, an ndarray, numpy scalars and ints as phi_r all give a state
+    # of Python floats, equal to the one from a tuple of floats, with and
+    # without attitude lag
+    phi = (0.01, -0.02, 0.3)
+    for tau in (0.0, 0.02):
+        cfg, s, st = hover_setup(tau_att=tau)
+        want = step(st, 41.0, phi, s, cfg)
+        for phi_r in (list(phi), np.array(phi), tuple(map(np.float64, phi)),
+                      iter(phi)):
+            out = step(st, 41.0, phi_r, s, cfg)
+            for v, w in ((out.p_e, want.p_e), (out.v_e, want.v_e),
+                         (out.phi, want.phi)):
+                assert is_float_tuple(v, 3) and v == w
+        out = step(st, 41.0, [0, 0, 1], s, cfg)
+        assert is_float_tuple(out.phi, 3)
 
 
 def test_plant_config_rejects_nonpositive_gravity():
@@ -205,9 +234,7 @@ def test_step_acceleration_identity_at_evaluation_point():
     # a = -g e3 + (T R(phi) e3 + f_e + delta(t) - c_t B_m B_m^T v_e)/m_t,
     # phi' = (phi_r - phi)/tau_att, with friction only while penetrated;
     # the reference derivative that plant.step is checked against bit for
-    # bit, and the plant's own acceleration, both give it
-    from uamsim.plant import _acceleration
-
+    # bit gives it
     s = vertical_surface()
     sine = DisturbanceConfig(const=[0.3, -0.2, 0.1], amp=[0.5, 1.0, 0.0],
                              freq_hz=[2.0, 2.0, 0.0])
@@ -228,8 +255,6 @@ def test_step_acceleration_identity_at_evaluation_point():
         st = PlantState(p_e=p_e, v_e=v_e, phi=phi)
         y = np.concatenate([st.p_e, st.v_e, st.phi])
         d = np.array(dynamics(T, phi_r.tolist(), s, cfg)(t, y.tolist()))
-        assert (list(_acceleration(t, *y.tolist(), T, s._consts, cfg._consts))
-                == d[3:6].tolist())
         x_dot_f = float(s.B_f @ st.v_e)
         f_c = contact_force(float(s.B_f @ st.p_e), x_dot_f, s)
         delta = dist.const + dist.amp * np.sin(2.0 * math.pi * np.asarray(dist.freq_hz) * t)
@@ -289,6 +314,57 @@ def test_step_equals_generic_rk4_bit_for_bit():
         assert out.t == st.t + dt
         assert (n_rk4 > 1) == (where == "crossing")
         assert out.in_contact == (where != "free")
+
+
+def bits(values) -> list:
+    """The floats as hex strings, which tell -0.0 from +0.0."""
+    return [float(v).hex() for v in values]
+
+
+# state and commanded yaws that compare equal: a nonzero yaw, +0.0, -0.0
+# and the mixed-sign zeros
+EQUAL_YAWS = ("nonzero", (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0))
+
+
+def test_step_with_equal_yaws_equals_generic_rk4_bit_for_bit():
+    # plant.step takes the yaw's cos and sin once when the commanded yaw
+    # equals the state's: every stage yaw is then the same value, except
+    # that -0.0 becomes +0.0 after the first stage. Each draw must match
+    # rk4 on the reference derivative bit for bit, signed zeros included.
+    # Zero angles, velocities, disturbances and thrusts of either sign let
+    # the sign of a zero sine reach the state.
+    rng = np.random.default_rng(24)
+    dt = 1e-3
+
+    def value(scale=1.0):
+        return (rng.normal() * scale, 0.0, -0.0)[rng.integers(3)]
+
+    for i in range(1000):
+        kind = EQUAL_YAWS[i % len(EQUAL_YAWS)]
+        if kind == "nonzero":
+            yaw = yaw_r = rng.uniform(-math.pi, math.pi)
+        else:
+            yaw, yaw_r = kind
+        tau = 0.0 if (i // len(EQUAL_YAWS)) % 2 == 0 else rng.uniform(0.005, 0.1)
+        dist = DisturbanceConfig(const=[value() for _ in range(3)],
+                                 tangential_friction=rng.uniform(0.0, 2.0))
+        cfg = PlantConfig(m_t=rng.uniform(2.0, 6.0), tau_att=tau,
+                          disturbance=dist, dt=dt)
+        s = SurfaceModel.from_tilt(rng.choice((0.0, rng.uniform(-60.0, 60.0))),
+                                   rng.choice((0.0, rng.uniform(-180.0, 180.0))),
+                                   p_s=(1.0, 0.0, 1.5))
+        pen0 = rng.uniform(-0.02, 0.01)
+        p_e = s.p_s + pen0 * s.B_f
+        st = PlantState(p_e=[p if rng.random() < 0.7 else value() for p in p_e],
+                        v_e=[value(0.1) for _ in range(3)],
+                        phi=(value(0.1), value(0.1), yaw),
+                        t=rng.choice((0.0, rng.uniform(0.0, 10.0))))
+        T = rng.choice((0.0, rng.uniform(0.0, 80.0)))
+        phi_r = (value(0.1), value(0.1), yaw_r)
+        out = step(st, T, phi_r, s, cfg)
+        y1, _ = reference_step(st, T, phi_r, s, cfg)
+        got = list(out.p_e) + list(out.v_e) + list(out.phi)
+        assert got == y1 and bits(got) == bits(y1), (i, kind, tau)
 
 
 def test_step_alternating_plants_match_reference_bit_for_bit():

@@ -5,9 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 from uamsim.estimator import EnvEstimate
-from uamsim.reference import (CONTACT, FREE, ReferenceState, contact_step,
-                              free_step, switch_mode)
+from uamsim.reference import (CONTACT, FREE, ReferenceState, _phi12,
+                              contact_step, free_step, switch_mode)
 
+import tick_oracle
 from plant_reference import draw, rk4
 
 WN = 10.0
@@ -320,3 +321,97 @@ def test_bounded_setpoints_give_bounded_references():
         assert all(math.isfinite(v) for v in vals)
         assert abs(ref.f_fr) < 20.0
         assert np.all(np.abs(ref.x_mr) < 5.0)
+
+
+def bits(fields) -> list:
+    """The nine fields of a reference, in order, with each float as a hex
+    string, which tells -0.0 from +0.0."""
+    x, xd, xdd, f, fd, xm, xmd, xmdd, mode = fields
+    return [float(v).hex() for v in (x, xd, xdd, f, fd, *xm, *xmd, *xmdd)] + [mode]
+
+
+def fields(r: ReferenceState) -> tuple:
+    return (r.x_fr, r.x_fr_dot, r.x_fr_ddot, r.f_fr, r.f_fr_dot, r.x_mr,
+            r.x_mr_dot, r.x_mr_ddot, r.mode)
+
+
+def test_phi12_equals_the_generator_sum_bit_for_bit():
+    # the Taylor sum written out term by term adds the same terms in the
+    # same order as the generator: at zero of either sign, at subnormals,
+    # on both sides of the |z| = 0.2 switch and on seeded draws
+    tiny, normal = 5e-324, 2.2250738585072014e-308
+    zs = [0.0, -0.0, tiny, -tiny, 3 * tiny, 1e-310, -1e-310, normal, -normal,
+          1e-160, -1e-160, 1e-16, 0.2, -0.2, math.nextafter(0.2, 0.0),
+          math.nextafter(-0.2, 0.0), math.nextafter(0.2, 1.0),
+          math.nextafter(-0.2, -1.0), math.nan, math.inf, -math.inf]
+    rng = np.random.default_rng(25)
+    zs += rng.uniform(-0.3, 0.3, 2000).tolist()
+    zs += (rng.choice((-1.0, 1.0), 2000)
+           * 10.0 ** rng.uniform(-323.0, 0.0, 2000)).tolist()
+    assert sum(z != 0.0 and abs(z) < normal for z in zs) > 100   # subnormals
+    for z in zs:
+        got, want = _phi12(z), tick_oracle.phi12(z)
+        assert [v.hex() for v in got] == [v.hex() for v in want], z
+
+
+def test_steps_equal_the_looped_tracker_bit_for_bit():
+    # free_step and contact_step step each axis with straight-line code;
+    # on seeded draws, zeros of either sign among them, they must give the
+    # fields of the looped tracker exactly, for a setpoint given as a tuple,
+    # a list, an ndarray or numpy scalars, and in contact on both of
+    # _phi12's branches
+    rng = np.random.default_rng(26)
+
+    def value():
+        return (rng.normal() * 10.0 ** rng.uniform(-6.0, 1.0), 0.0,
+                -0.0)[rng.choice(3, p=(0.8, 0.1, 0.1))]
+
+    def pair():
+        return (value(), value())
+
+    containers = (tuple, list, np.array, lambda v: tuple(map(np.float64, v)))
+    taylor = 0
+    for i in range(2000):
+        wn = rng.uniform(1.0, 60.0)
+        dt = (2e-3, 1e-3, rng.uniform(1e-4, 1e-2))[i % 3]
+        x_md = containers[i % 4](pair())
+        ref = ReferenceState(x_fr=value(), x_fr_dot=value(), x_fr_ddot=value(),
+                             x_mr=pair(), x_mr_dot=pair(), x_mr_ddot=pair())
+        x_fd = value()
+        assert (bits(fields(free_step(ref, x_fd, x_md, wn, dt)))
+                == bits(tick_oracle.free_step(ref, x_fd, x_md, wn, dt)))
+
+        ref = ReferenceState(x_fr=value(), x_fr_dot=value(), f_fr=value(),
+                             f_fr_dot=value(), x_mr=pair(), x_mr_dot=pair(),
+                             mode=CONTACT)
+        k_hat = rng.uniform(50.0, 500.0)
+        if i % 2:           # k/b within 0.25/dt of omega_n: the Taylor sum
+            z = rng.uniform(-0.25, min(0.25, 0.9 * wn * dt))
+            b_hat = k_hat / (wn - z / dt)
+        else:
+            b_hat = rng.uniform(0.1, 1.0)
+        taylor += abs((wn - k_hat / b_hat) * dt) < 0.2
+        est = EnvEstimate(k_hat=k_hat, b_hat=b_hat, P=np.eye(2))
+        f_fd = value()
+        assert (bits(fields(contact_step(ref, f_fd, x_md, est, wn, dt)))
+                == bits(tick_oracle.contact_step(ref, f_fd, x_md, est, wn, dt)))
+    assert taylor > 600
+
+
+def test_steps_reject_what_the_looped_tracker_rejects():
+    # the same ValueError, with the same message, for a setpoint of another
+    # size, a wrong mode and a nonpositive omega_n
+    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
+    free, contact = ReferenceState(), ReferenceState(mode=CONTACT)
+    cases = [(free_step, tick_oracle.free_step, free, 0.5),
+             (contact_step, tick_oracle.contact_step, contact, -2.0)]
+    for new, old, ref, target in cases:
+        other = contact if ref is free else free
+        for r, x_md, wn in ((ref, (0.1,), WN), (ref, np.zeros(3), WN),
+                            (ref, [], WN), (other, (0.1, 0.2), WN),
+                            (ref, (0.1, 0.2), 0.0), (ref, (0.1, 0.2), -1.0)):
+            args = (r, target, x_md) + ((est,) if new is contact_step else ())
+            with pytest.raises(ValueError) as want:
+                old(*args, wn, DT)
+            with pytest.raises(ValueError, match=str(want.value)):
+                new(*args, wn, DT)
