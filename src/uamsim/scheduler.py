@@ -207,11 +207,14 @@ def _best_region(cond_id: str, box: GainBox, shared, lines) -> GainRegion:
     none reaches _MIN_AREA.
 
     The box is clipped by the shared half-planes once, in order, and that
-    polygon once by each line: len(shared) + len(lines) clips in all.
+    polygon once by each line: len(shared) + len(lines) clips in all, or
+    only the shared clips up to one that leaves nothing.
     """
     base = box.corners()
     for hp in shared:
         base = _clip_halfplane(base, *hp)
+        if not base:            # then every candidate is empty
+            return GainRegion(cond_id)
     best = GainRegion(cond_id)
     for hp in lines:
         poly = _clip_halfplane(base, *hp)
@@ -628,7 +631,9 @@ class SlewLimitedGains:
     rate: float = 5.0            # units/s per gain
 
     def track(self, target_k: float, target_b: float, dt: float) -> tuple[float, float]:
-        step = self.rate * dt
-        self.k_f += min(max(target_k - self.k_f, -step), step)
-        self.b_f += min(max(target_b - self.b_f, -step), step)
+        step = self.rate * dt       # then min(max(d, -step), step), inlined
+        dk, db = target_k - self.k_f, target_b - self.b_f
+        dk, db = -step if -step > dk else dk, -step if -step > db else db
+        self.k_f += step if step < dk else dk
+        self.b_f += step if step < db else db
         return self.k_f, self.b_f

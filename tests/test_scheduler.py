@@ -9,6 +9,7 @@ from uamsim.scheduler import (NS1, NS2, NS3, DegenerateDirection, GainBox,
                               pattern_search_J, region_explicit, region_grid,
                               schedule, switched_params)
 
+import tick_oracle
 from region_oracle import best_region_every_clip, candidates, clip_box, old_order
 from region_raster import _boundary_mask, _rasterize_polygon
 from switched_oracle import cycle_contraction, sample_params
@@ -238,7 +239,8 @@ def test_regions_equal_clipping_every_candidate(monkeypatch):
     # equal the oracle that clips every candidate [*shared, line] from the
     # box: the same vertices (in order), area and condition, bit for bit.
     # Each call clips the box by the shared half-planes once and that
-    # polygon once per line.
+    # polygon once per line, unless a shared clip leaves nothing: then the
+    # call stops after that clip.
     clip = sched._clip_halfplane
     clips = [0]
 
@@ -249,11 +251,18 @@ def test_regions_equal_clipping_every_candidate(monkeypatch):
     calls = _region_calls(monkeypatch, 22, 10_000)
     monkeypatch.setattr(sched, "_clip_halfplane", counted_clip)
     families = []
-    multi = multi_nonempty = 0
+    multi = multi_nonempty = stopped = 0
     for cond_id, box, shared, lines in calls:
+        base, n_clips = box.corners(), len(lines)
+        for hp in shared:
+            base, n_clips = clip(base, *hp), n_clips + 1
+            if not base:
+                n_clips -= len(lines)
+                stopped += 1
+                break
         before = clips[0]
         got = sched._best_region(cond_id, box, shared, lines)
-        assert clips[0] - before == len(shared) + len(lines)
+        assert clips[0] - before == n_clips
         want = best_region_every_clip(cond_id, box, candidates(shared, lines))
         assert _same_region(got, want), (cond_id, box, shared, lines)
         if len(lines) > 1:
@@ -262,6 +271,7 @@ def test_regions_equal_clipping_every_candidate(monkeypatch):
             if len(families) < 400:
                 families.append((cond_id, box, shared, lines))
     assert multi > 4000 and multi_nonempty > 2000, (multi, multi_nonempty)
+    assert stopped > 0
 
     # exact ties (a duplicated line) and near-ties (a line moved by 1e-16 to
     # 1e-8 relative), inserted anywhere in real tangent families
@@ -928,3 +938,24 @@ def test_j_cost_penalties_anchor_midpoint():
     assert j_mid == pytest.approx(lambda_pair(sp_mid)[2])
     assert j_edge > lambda_pair(
         switched_params(23.5, 19.5, box.k_f_max, box.b_f_max, 200.0, 0.5, 4.0))[2]
+
+
+def test_slew_track_equals_min_max_bit_for_bit():
+    # the clamp written as comparisons gives min(max(d, -step), step)
+    # exactly: NaN and infinite targets, signed zeros, a zero step
+    # (rate * dt = 0), and a negative or NaN rate
+    values = (0.0, -0.0, 0.55, -1.5, 25.0, 1e-300, math.nan, math.inf,
+              -math.inf)
+    rates = (0.0, -0.0, 5.0, -5.0, math.nan, math.inf)
+    for rate in rates:
+        for dt in (0.0, 2e-3):
+            for i, k_f in enumerate(values):
+                for j, target in enumerate(values):
+                    b_f, target_b = values[-1 - i], values[-1 - j]
+                    slew = sched.SlewLimitedGains(k_f, b_f, rate=rate)
+                    got = slew.track(target, target_b, dt)
+                    want = tick_oracle.slew_track(k_f, b_f, rate, target,
+                                                  target_b, dt)
+                    hexes = [v.hex() for v in want]
+                    assert [v.hex() for v in got] == hexes
+                    assert [slew.k_f.hex(), slew.b_f.hex()] == hexes
