@@ -222,9 +222,8 @@ def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
     """
     k_e, b_e, x_fs, bx, by, bz = surface._consts
     m, mg, dist, fric, steady = cfg._consts
-    tau, lag = cfg.tau_att, cfg.tau_att > 0.0
+    tau, lag, h2 = cfg.tau_att, cfg.tau_att > 0.0, 0.5 * h
     (rx_r, ry_r, rz_r), (px, py, pz, vx, vy, vz, rx, ry, rz) = phi_r, y
-    h2 = 0.5 * h
     (dx1, dy1, dz1), (dx2, dy2, dz2), (dx4, dy4, dz4) = steady or (
         dist.force(t), dist.force(t + h2), dist.force(t + h))
     one_yaw = rz == rz_r and (rz != 0.0 or copysign(1.0, rz) > 0.0)
@@ -376,17 +375,18 @@ def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
     y = (*state.p_e, *state.v_e, *(phi_r if no_lag else state.phi))
     t, h = state.t, cfg.dt
     y1 = _rk4(t, y, h, T, phi_r, surface, cfg)
+    px, py, pz, vx, vy, vz, rx, ry, rz = y1
     _, _, x_fs, bx, by, bz = surface._consts       # _penetration, inlined
-    in_contact = bx * y1[0] + by * y1[1] + bz * y1[2] - x_fs > 0.0
+    in_contact = bx * px + by * py + bz * pz - x_fs > 0.0
     if in_contact != (bx * y[0] + by * y[1] + bz * y[2] - x_fs > 0.0):
-        y1 = _step_with_events(
+        px, py, pz, vx, vy, vz, rx, ry, rz = _step_with_events(
             lambda t, y, h: _rk4(t, y, h, T, phi_r, surface, cfg),
             surface, y, y1, t, h)
-        in_contact = _penetration(y1, surface) > 0.0
+        in_contact = bx * px + by * py + bz * pz - x_fs > 0.0
     # the fields already have their types: skip __post_init__'s conversion
     s = object.__new__(PlantState)
-    s.p_e, s.v_e, s.phi, s.in_contact, s.t = (
-        y1[0:3], y1[3:6], phi_r if no_lag else y1[6:9], in_contact, t + h)
+    s.p_e, s.v_e, s.phi, s.in_contact, s.t = (px, py, pz), (vx, vy, vz), (
+        phi_r if no_lag else (rx, ry, rz)), in_contact, t + h
     return s
 
 

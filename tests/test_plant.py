@@ -198,11 +198,9 @@ def test_step_rejects_nonfinite():
     with pytest.raises(ValueError, match="nonnegative"):
         step(st, -1.0, np.zeros(3), s, cfg)
 
-
-def test_step_converts_the_commanded_angles_to_floats():
-    # a list, an ndarray, numpy scalars and ints as phi_r all give a state
-    # of Python floats, equal to the one from a tuple of floats, with and
-    # without attitude lag
+    # a list, an ndarray, numpy scalars, an iterator and ints as phi_r are
+    # accepted and give a state of Python floats, equal to the one from a
+    # tuple of floats, with and without attitude lag
     phi = (0.01, -0.02, 0.3)
     for tau in (0.0, 0.02):
         cfg, s, st = hover_setup(tau_att=tau)
