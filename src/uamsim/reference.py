@@ -75,7 +75,8 @@ def _phi12(z: float) -> tuple[float, float]:
 def _tracker(wn: float, dt: float) -> tuple:
     """(cv, ce, dv, de, -2 wn, wn^2) of the exact step of x'' = -2 wn x' -
     wn^2 e, e = x - c: dx = cv x' - ce e, x'(dt) = dv x' - de e. ce is
-    1 - (1 + z) exp(-z) = z^2 exp(-z) phi_2(z), z = wn dt, uncancelled."""
+    1 - (1 + z) exp(-z) = z^2 exp(-z) phi_2(z) (z = wn dt), free of its
+    cancellation."""
     if wn <= 0.0:
         raise ValueError("omega_n must be positive")
     z, ew = wn * dt, math.exp(-wn * dt)
