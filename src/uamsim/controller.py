@@ -15,7 +15,7 @@ which has the commanded u_e as its fixed point when the attitude settles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .plant import Measurement, SurfaceModel
 from .reference import FREE, ReferenceState
@@ -39,9 +39,9 @@ class GainSet:
     g_bar: float = 9.81
 
     def __post_init__(self):
-        if min(self.k_p, self.k_d, self.K_mp, self.K_md, self.L_f, self.L_m,
-               self.m_bar, self.g_bar) <= 0.0:
-            raise ValueError("controller gains must be positive")
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < math.inf:
+                raise ValueError(f"controller gain {f.name} must be positive and finite")
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import copysign, cos, inf, sin
+from math import cos, inf, sin
 
 import numpy as np
 
@@ -54,8 +54,9 @@ class SurfaceModel:
         self.B_f = np.asarray(self.B_f, dtype=float).reshape(3)
         self.B_m = np.asarray(self.B_m, dtype=float).reshape(3, 2)
         self.p_s = np.asarray(self.p_s, dtype=float).reshape(3)
-        if not (self.k_e > 0.0 and self.b_e > 0.0):
-            raise ValueError("surface stiffness/damping must be positive")
+        for name in ("k_e", "b_e"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"surface {name} must be positive and finite")
         M = np.column_stack([self.B_f, self.B_m])
         err = np.abs(M.T @ M - np.eye(3)).max()
         if not err <= 1e-12:
@@ -148,19 +149,18 @@ class PlantConfig:
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.m_t <= 0.0:
-            raise ValueError("m_t must be positive")
-        if not self.g > 0.0:
-            raise ValueError("g must be positive")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.tau_att < 0.0:
-            raise ValueError("tau_att must be nonnegative")
-        # the plant step's constants: m_t, m_t g, the disturbance terms and,
-        # when it does not vary, its force at the three stage times
+        for name in ("m_t", "g", "dt"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 <= self.tau_att < math.inf:
+            raise ValueError("tau_att must be nonnegative and finite")
+        # the plant step's constants: m_t, m_t g, the disturbance terms, when
+        # it does not vary its force at the three stage times, and the lag's
+        # decay over dt/2 and dt
         d = self.disturbance
         self._consts = (self.m_t, self.m_t * self.g, d, d.tangential_friction,
-                        d._steady and (d._steady,) * 3)
+                        d._steady and (d._steady,) * 3,
+                        *_decay(self.dt, self.tau_att))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +169,9 @@ class PlantConfig:
 
 @dataclass
 class PlantState:
+    """The plant's state. The vectors are converted to tuples of floats when
+    the state is built, not when a field is assigned later."""
+
     p_e: tuple[float, float, float]
     v_e: tuple[float, float, float]
     phi: tuple[float, float, float]      # roll, pitch, yaw actually achieved
@@ -210,26 +213,34 @@ def contact_force(x_f: float, x_dot_f: float, surface: SurfaceModel) -> float:
     return -surface.k_e * pen - surface.b_e * x_dot_f
 
 
-def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
-    """One classical RK4 step y(t) -> y(t + h) of the plant, y = p_e + v_e + phi.
+def _decay(h: float, tau: float) -> tuple:
+    """The lag's decay over h/2 and h: e^(-h/2tau), e^(-h/tau); (0, 0) if tau = 0."""
+    return (math.exp(-0.5 * h / tau), math.exp(-h / tau)) if tau > 0.0 else (0.0, 0.0)
 
-    Unrolled per state and stage with the acceleration written out, in the
-    operation order of rk4 on a list (stage k_i of every element, then
-    y + h/6 (k1 + 2 k2 + 2 k3 + k4)), so the result is the same to the last
-    bit; phi' = (phi_r - phi)/tau_att, or 0 without lag. A commanded yaw
-    equal to the state's is every stage's yaw, so its cos and sin are taken
-    once; but not -0.0, which turns +0.0 after the first stage.
+
+def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
+    """One step y(t) -> y(t + h) of the plant, y = p_e + v_e + phi.
+
+    phi_r is held over the step, so the lag phi' = (phi_r - phi)/tau_att has
+    the closed form phi(s) = phi_r + (phi - phi_r) e^(-s/tau_att), and is
+    phi_r without lag. A classical RK4 step integrates p_e and v_e, its
+    stages at the attitudes of the offsets 0, h/2 and h; stages 2 and 3
+    share one T R(phi) e3 + delta - m g. It is unrolled per state and stage
+    with the acceleration written out, in the operation order of rk4 on a
+    list (stage k_i of every element, then y + h/6 (k1 + 2 k2 + 2 k3 + k4)),
+    so the result is the same to the last bit. The attitude returned is the
+    closed form's at h.
     """
     k_e, b_e, x_fs, bx, by, bz = surface._consts
-    m, mg, dist, fric, steady = cfg._consts
-    tau, lag, h2 = cfg.tau_att, cfg.tau_att > 0.0, 0.5 * h
+    m, mg, dist, fric, steady, e2, e4 = cfg._consts
+    if h != cfg.dt:
+        e2, e4 = _decay(h, cfg.tau_att)
+    h2 = 0.5 * h
     (rx_r, ry_r, rz_r), (px, py, pz, vx, vy, vz, rx, ry, rz) = phi_r, y
     (dx1, dy1, dz1), (dx2, dy2, dz2), (dx4, dy4, dz4) = steady or (
         dist.force(t), dist.force(t + h2), dist.force(t + h))
-    one_yaw = rz == rz_r and (rz != 0.0 or copysign(1.0, rz) > 0.0)
 
-    cz, sz = cos(rz), sin(rz)
-    cx, sx, cy, sy = cos(rx), sin(rx), cos(ry), sin(ry)
+    cx, sx, cy, sy, cz, sz = cos(rx), sin(rx), cos(ry), sin(ry), cos(rz), sin(rz)
     fx = T * (cz * sy * cx + sz * sx) + dx1     # T * R(phi) e3, inlined
     fy = T * (sz * sy * cx - cz * sx) + dy1
     fz = T * (cx * cy) + dz1 - mg
@@ -242,17 +253,17 @@ def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
             fx, fy, fz = (fx - fric * (vx - xd * bx), fy - fric * (vy - xd * by),
                           fz - fric * (vz - xd * bz))
     ax1, ay1, az1 = fx / m, fy / m, fz / m
-    wx1, wy1, wz1 = ((rx_r - rx) / tau, (ry_r - ry) / tau,
-                     (rz_r - rz) / tau) if lag else (0.0, 0.0, 0.0)
+
+    ex, ey, ez = rx - rx_r, ry - ry_r, rz - rz_r
+    rx, ry, rz = rx_r + ex * e2, ry_r + ey * e2, rz_r + ez * e2
+    cx, sx, cy, sy, cz, sz = cos(rx), sin(rx), cos(ry), sin(ry), cos(rz), sin(rz)
+    gx = T * (cz * sy * cx + sz * sx) + dx2     # stages 2 and 3
+    gy = T * (sz * sy * cx - cz * sx) + dy2
+    gz = T * (cx * cy) + dz2 - mg
 
     px2, py2, pz2 = px + h2 * vx, py + h2 * vy, pz + h2 * vz
     vx2, vy2, vz2 = vx + h2 * ax1, vy + h2 * ay1, vz + h2 * az1
-    rx2, ry2, rz2 = rx + h2 * wx1, ry + h2 * wy1, rz + h2 * wz1
-    cz, sz = (cz, sz) if one_yaw else (cos(rz2), sin(rz2))
-    cx, sx, cy, sy = cos(rx2), sin(rx2), cos(ry2), sin(ry2)
-    fx = T * (cz * sy * cx + sz * sx) + dx2
-    fy = T * (sz * sy * cx - cz * sx) + dy2
-    fz = T * (cx * cy) + dz2 - mg
+    fx, fy, fz = gx, gy, gz
     pen = bx * px2 + by * py2 + bz * pz2 - x_fs
     if pen > 0.0:
         xd = bx * vx2 + by * vy2 + bz * vz2
@@ -262,17 +273,10 @@ def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
             fx, fy, fz = (fx - fric * (vx2 - xd * bx), fy - fric * (vy2 - xd * by),
                           fz - fric * (vz2 - xd * bz))
     ax2, ay2, az2 = fx / m, fy / m, fz / m
-    wx2, wy2, wz2 = ((rx_r - rx2) / tau, (ry_r - ry2) / tau,
-                     (rz_r - rz2) / tau) if lag else (0.0, 0.0, 0.0)
 
     px3, py3, pz3 = px + h2 * vx2, py + h2 * vy2, pz + h2 * vz2
     vx3, vy3, vz3 = vx + h2 * ax2, vy + h2 * ay2, vz + h2 * az2
-    rx3, ry3, rz3 = rx + h2 * wx2, ry + h2 * wy2, rz + h2 * wz2
-    cz, sz = (cz, sz) if one_yaw else (cos(rz3), sin(rz3))
-    cx, sx, cy, sy = cos(rx3), sin(rx3), cos(ry3), sin(ry3)
-    fx = T * (cz * sy * cx + sz * sx) + dx2
-    fy = T * (sz * sy * cx - cz * sx) + dy2
-    fz = T * (cx * cy) + dz2 - mg
+    fx, fy, fz = gx, gy, gz
     pen = bx * px3 + by * py3 + bz * pz3 - x_fs
     if pen > 0.0:
         xd = bx * vx3 + by * vy3 + bz * vz3
@@ -282,14 +286,11 @@ def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
             fx, fy, fz = (fx - fric * (vx3 - xd * bx), fy - fric * (vy3 - xd * by),
                           fz - fric * (vz3 - xd * bz))
     ax3, ay3, az3 = fx / m, fy / m, fz / m
-    wx3, wy3, wz3 = ((rx_r - rx3) / tau, (ry_r - ry3) / tau,
-                     (rz_r - rz3) / tau) if lag else (0.0, 0.0, 0.0)
 
+    rx, ry, rz = rx_r + ex * e4, ry_r + ey * e4, rz_r + ez * e4
+    cx, sx, cy, sy, cz, sz = cos(rx), sin(rx), cos(ry), sin(ry), cos(rz), sin(rz)
     px4, py4, pz4 = px + h * vx3, py + h * vy3, pz + h * vz3
     vx4, vy4, vz4 = vx + h * ax3, vy + h * ay3, vz + h * az3
-    rx4, ry4, rz4 = rx + h * wx3, ry + h * wy3, rz + h * wz3
-    cz, sz = (cz, sz) if one_yaw else (cos(rz4), sin(rz4))
-    cx, sx, cy, sy = cos(rx4), sin(rx4), cos(ry4), sin(ry4)
     fx = T * (cz * sy * cx + sz * sx) + dx4
     fy = T * (sz * sy * cx - cz * sx) + dy4
     fz = T * (cx * cy) + dz4 - mg
@@ -302,8 +303,6 @@ def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
             fx, fy, fz = (fx - fric * (vx4 - xd * bx), fy - fric * (vy4 - xd * by),
                           fz - fric * (vz4 - xd * bz))
     ax4, ay4, az4 = fx / m, fy / m, fz / m
-    wx4, wy4, wz4 = ((rx_r - rx4) / tau, (ry_r - ry4) / tau,
-                     (rz_r - rz4) / tau) if lag else (0.0, 0.0, 0.0)
 
     h6 = h / 6.0
     return (px + h6 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4),
@@ -311,10 +310,7 @@ def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
             pz + h6 * (vz + 2.0 * vz2 + 2.0 * vz3 + vz4),
             vx + h6 * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
             vy + h6 * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
-            vz + h6 * (az1 + 2.0 * az2 + 2.0 * az3 + az4),
-            rx + h6 * (wx1 + 2.0 * wx2 + 2.0 * wx3 + wx4),
-            ry + h6 * (wy1 + 2.0 * wy2 + 2.0 * wy3 + wy4),
-            rz + h6 * (wz1 + 2.0 * wz2 + 2.0 * wz3 + wz4))
+            vz + h6 * (az1 + 2.0 * az2 + 2.0 * az3 + az4), rx, ry, rz)
 
 
 _BISECT_TOL = 1e-6   # m, penetration resolution at a contact switch

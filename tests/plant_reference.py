@@ -1,14 +1,18 @@
 """Reference integration and kinematics of the plant: a generic RK4 step on
 lists of floats, the plant's derivative as a function of the whole 9-float
-state, and the full-matrix kinematics.
+state, the same with the attitude lag in closed form, and the full-matrix
+kinematics.
 
-plant.step integrates with an RK4 step unrolled by hand; the tests check it
-bit for bit against rk4 on these derivatives, the reference generator's
-exact steps against rk4 within its error, and the float paths of the plant
-and the controller against their numpy forms, on values from draw.
-rotation and thrust_direction are the kinematics that the plant's inlined
-expressions are checked against; the controller's extraction tests build
-their desired inputs as T * rotation(phi) @ E3.
+plant.step integrates p_e and v_e with an RK4 step unrolled by hand and
+takes the attitude from the lag's closed form; the tests check it bit for
+bit against rk4 on the six floats p_e + v_e (reference_step), against rk4
+on the nine-state derivative without lag, where the two agree, and for
+accuracy against finer nine-state steps. They also check the reference
+generator's exact steps against rk4 within its error, and the float paths
+of the plant and the controller against their numpy forms, on values from
+draw. rotation and thrust_direction are the kinematics that the plant's
+inlined expressions are checked against; the controller's extraction tests
+build their desired inputs as T * rotation(phi) @ E3.
 """
 
 from __future__ import annotations
@@ -62,20 +66,19 @@ def rk4(f, t: float, y: list, h: float) -> list:
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def dynamics(T: float, phi_r, surface, cfg):
-    """The plant's y' = f(t, y), y = p_e + v_e + phi, under fixed commands."""
-    m, mg, tau = cfg.m_t, cfg.m_t * cfg.g, cfg.tau_att
+def translational(T: float, surface, cfg):
+    """(p_e + v_e)' = f(t, y, phi) of the plant at attitude phi, a list."""
+    m, mg = cfg.m_t, cfg.m_t * cfg.g
     k_e, b_e, x_fs = surface.k_e, surface.b_e, surface.x_fs
     bx, by, bz = surface.B_f.tolist()
     dist = cfg.disturbance
     fric = dist.tangential_friction
     const = None if any(dist.amp) else dist.const
-    rx_r, ry_r, rz_r = phi_r
 
-    def f(t, y):
-        px, py, pz, vx, vy, vz, rx, ry, rz = y
+    def f(t, y, phi):
+        px, py, pz, vx, vy, vz = y
         dx, dy, dz = dist.force(t) if const is None else const
-        tx, ty, tz = thrust_direction((rx, ry, rz))
+        tx, ty, tz = thrust_direction(phi)
         fx = T * tx + dx
         fy = T * ty + dy
         fz = T * tz + dz - mg
@@ -92,34 +95,67 @@ def dynamics(T: float, phi_r, surface, cfg):
                 fx -= fric * (vx - x_dot_f * bx)
                 fy -= fric * (vy - x_dot_f * by)
                 fz -= fric * (vz - x_dot_f * bz)
-
-        if tau > 0.0:
-            return [vx, vy, vz, fx / m, fy / m, fz / m,
-                    (rx_r - rx) / tau, (ry_r - ry) / tau, (rz_r - rz) / tau]
-        return [vx, vy, vz, fx / m, fy / m, fz / m, 0.0, 0.0, 0.0]
+        return [vx, vy, vz, fx / m, fy / m, fz / m]
 
     return f
 
 
-def reference_step(state, T: float, phi_r, surface, cfg):
+def dynamics(T: float, phi_r, surface, cfg):
+    """The plant's y' = f(t, y), y = p_e + v_e + phi, under fixed commands."""
+    tau = cfg.tau_att
+    rx_r, ry_r, rz_r = phi_r
+    f6 = translational(T, surface, cfg)
+
+    def f(t, y):
+        rx, ry, rz = y[6:9]
+        dphi = ([(rx_r - rx) / tau, (ry_r - ry) / tau, (rz_r - rz) / tau]
+                if tau > 0.0 else [0.0, 0.0, 0.0])
+        return f6(t, y[0:6], (rx, ry, rz)) + dphi
+
+    return f
+
+
+def lag(phi0, phi_r, s: float, tau: float) -> list:
+    """The attitude s after phi0 under phi' = (phi_r - phi)/tau, phi_r
+    held: phi_r + (phi0 - phi_r) e^(-s/tau); phi0 at s = 0, phi_r without
+    lag (phi_r + 0.0, which turns -0.0 into +0.0, as RK4 on a zero
+    derivative does)."""
+    if s == 0.0:
+        return list(phi0)
+    e = math.exp(-s / tau) if tau > 0.0 else 0.0
+    return [r + (p - r) * e for p, r in zip(phi0, phi_r)]
+
+
+def reference_step(state, T: float, phi_r, surface, cfg, nine_state=False):
     """The nine floats p_e + v_e + phi that plant.step should reach.
 
-    Integrates with rk4 on dynamics inside the plant's own contact-event
-    subdivision. Returns the state and the number of RK4 steps taken, which
-    is more than one when a crossing of the surface was bisected.
+    Integrates inside the plant's own contact-event subdivision, each RK4
+    step of which is rk4 on the six floats p_e + v_e, its stages at the
+    attitude lag's closed form at the offsets 0, h/2 and h from the step's
+    start (rk4 runs from time 0, so the offsets are exact and the stage
+    times add the start). With nine_state, each step is rk4 on dynamics,
+    the lag integrated with the rest. Returns the state and the number of
+    RK4 steps taken, which is more than one when a crossing of the surface
+    was bisected.
     """
     phi_r = [float(v) for v in phi_r]
-    f = dynamics(T, phi_r, surface, cfg)
+    tau = cfg.tau_att
+    f9 = dynamics(T, phi_r, surface, cfg)
+    f6 = translational(T, surface, cfg)
     steps = []
 
     def rk(t, y, h):
         steps.append(h)
-        return rk4(f, t, y, h)
+        if nine_state:
+            return rk4(f9, t, y, h)
+        phi0 = y[6:9]
+        return rk4(lambda s, y: f6(t + s, y, lag(phi0, phi_r, s, tau)),
+                   0.0, y[0:6], h) + lag(phi0, phi_r, h, tau)
 
-    phi = phi_r if cfg.tau_att == 0.0 else list(state.phi)
+    phi = phi_r if tau == 0.0 else list(state.phi)
     y = list(state.p_e) + list(state.v_e) + phi
     y1 = plant._step_with_events(rk, surface, y, rk(state.t, y, cfg.dt),
                                  state.t, cfg.dt)
-    if cfg.tau_att == 0.0:
+    if tau == 0.0:
         y1[6:9] = phi_r
     return y1, len(steps)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -372,3 +373,8 @@ def test_gainset_rejects_nonpositive_motion_gains():
     for name in ("K_mp", "K_md", "L_m", "g_bar"):     # and the gravity
         with pytest.raises(ValueError, match="positive"):
             GainSet(**{name: 0.0})
+    # NaN and +-inf in any gain
+    for f in dataclasses.fields(GainSet):
+        for v in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"gain {f.name} must be positive and finite"):
+                GainSet(**{f.name: v})

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -104,10 +105,11 @@ def test_step_free_fall():
 
 def test_step_horizontal_velocity_conserved_without_forces():
     cfg, s, st = hover_setup()
-    st.v_e = np.array([0.3, -0.2, 0.0])
-    st.p_e = np.array([-5.0, 0.0, 50.0])   # far from the surface
+    st = dataclasses.replace(st, v_e=np.array([0.3, -0.2, 0.0]),
+                             p_e=np.array([-5.0, 0.0, 50.0]))   # far from the surface
     for _ in range(200):
         st = step(st, 0.0, np.zeros(3), s, cfg)
+        assert all(is_float_tuple(v, 3) for v in (st.p_e, st.v_e, st.phi))
     assert st.v_e[0] == pytest.approx(0.3, abs=1e-12)
     assert st.v_e[1] == pytest.approx(-0.2, abs=1e-12)
 
@@ -216,15 +218,26 @@ def test_step_rejects_nonfinite():
 
 
 def test_plant_config_rejects_nonpositive_gravity():
-    for g in (0.0, -9.81, math.nan):
+    for g in (0.0, -9.81, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="g must be positive"):
             PlantConfig(g=g)
 
 
 def test_plant_config_rejects_nonpositive_dt():
-    for dt in (0.0, -1e-3):
+    for dt in (0.0, -1e-3, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="dt"):
             PlantConfig(dt=dt)
+
+
+def test_plant_config_rejects_bad_mass_and_lag():
+    # a NaN tau_att would fail every comparison in step and freeze the
+    # attitude; an infinite one would do the same through its decay
+    for m_t in (0.0, -4.2, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="m_t must be positive and finite"):
+            PlantConfig(m_t=m_t)
+    for tau in (-0.02, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tau_att must be nonnegative and finite"):
+            PlantConfig(tau_att=tau)
 
 
 def test_step_acceleration_identity_at_evaluation_point():
@@ -268,12 +281,11 @@ def test_step_acceleration_identity_at_evaluation_point():
         assert np.allclose(d[6:9], dphi, rtol=0.0, atol=1e-14)
 
 
-def test_step_equals_generic_rk4_bit_for_bit():
-    # plant.step's unrolled RK4 must reproduce rk4 on the reference
-    # derivative exactly: in free flight, pressed into the surface, and on a
-    # step that crosses the surface and is bisected; with no disturbance, a
-    # constant one, a sinusoidal one and tangential friction; with and
-    # without attitude lag
+def generic_draws():
+    """(where, state, T, phi_r, surface, cfg): 600 seeded steps in free
+    flight, pressed into the surface, and crossing it (bisected); with no
+    disturbance, a constant one, a sinusoidal one and tangential friction;
+    with and without attitude lag."""
     rng = np.random.default_rng(17)
     dt = 1e-3
     for i in range(600):
@@ -304,6 +316,15 @@ def test_step_equals_generic_rk4_bit_for_bit():
                         phi=draw(rng, 3), t=rng.uniform(0.0, 10.0))
         T = rng.uniform(0.0, 80.0)
         phi_r = draw(rng, 3)
+        yield where, st, T, phi_r, s, cfg
+
+
+def test_step_equals_generic_rk4_bit_for_bit():
+    # plant.step's unrolled RK4 must reproduce the reference step exactly:
+    # rk4 on p_e + v_e with the attitude lag in closed form. Its attitude
+    # is the closed form's after dt, also when the step is bisected.
+    dt = 1e-3
+    for where, st, T, phi_r, s, cfg in generic_draws():
         out = step(st, T, phi_r, s, cfg)
         y1, n_rk4 = reference_step(st, T, phi_r, s, cfg)
         assert list(out.p_e) + list(out.v_e) + list(out.phi) == y1
@@ -312,6 +333,9 @@ def test_step_equals_generic_rk4_bit_for_bit():
         assert out.t == st.t + dt
         assert (n_rk4 > 1) == (where == "crossing")
         assert out.in_contact == (where != "free")
+        if cfg.tau_att > 0.0:
+            closed = phi_r + (np.array(st.phi) - phi_r) * math.exp(-dt / cfg.tau_att)
+            assert np.abs(np.array(out.phi) - closed).max() <= 1e-14
 
 
 def bits(values) -> list:
@@ -324,13 +348,11 @@ def bits(values) -> list:
 EQUAL_YAWS = ("nonzero", (0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0))
 
 
-def test_step_with_equal_yaws_equals_generic_rk4_bit_for_bit():
-    # plant.step takes the yaw's cos and sin once when the commanded yaw
-    # equals the state's: every stage yaw is then the same value, except
-    # that -0.0 becomes +0.0 after the first stage. Each draw must match
-    # rk4 on the reference derivative bit for bit, signed zeros included.
-    # Zero angles, velocities, disturbances and thrusts of either sign let
-    # the sign of a zero sine reach the state.
+def equal_yaw_draws():
+    """(kind, state, T, phi_r, surface, cfg): 1000 seeded steps whose
+    commanded yaw equals the state's, with and without lag, and zero
+    angles, velocities, disturbances and thrusts of either sign, which let
+    the sign of a zero sine reach the state."""
     rng = np.random.default_rng(24)
     dt = 1e-3
 
@@ -359,18 +381,26 @@ def test_step_with_equal_yaws_equals_generic_rk4_bit_for_bit():
                         t=rng.choice((0.0, rng.uniform(0.0, 10.0))))
         T = rng.choice((0.0, rng.uniform(0.0, 80.0)))
         phi_r = (value(0.1), value(0.1), yaw_r)
+        yield kind, st, T, phi_r, s, cfg
+
+
+def test_step_with_equal_yaws_equals_generic_rk4_bit_for_bit():
+    # a commanded yaw equal to the state's, zeros of either sign included,
+    # must match the reference step bit for bit, signed zeros included:
+    # without lag the stages after the first see phi_r + 0.0, so a -0.0
+    # angle turns +0.0 there, as in rk4 on the nine-state derivative
+    for kind, st, T, phi_r, s, cfg in equal_yaw_draws():
         out = step(st, T, phi_r, s, cfg)
         y1, _ = reference_step(st, T, phi_r, s, cfg)
         got = list(out.p_e) + list(out.v_e) + list(out.phi)
-        assert got == y1 and bits(got) == bits(y1), (i, kind, tau)
+        assert got == y1 and bits(got) == bits(y1), (kind, cfg.tau_att)
 
 
-def test_step_alternating_plants_match_reference_bit_for_bit():
-    # step reads constants that SurfaceModel and PlantConfig derive when they
-    # are built; stepping two tilted surfaces and two configurations (lag,
-    # sinusoidal disturbance and friction, against none of them) in every
-    # pairing, one step of each in turn, must match the reference exactly,
-    # so that no constant of one pair leaks into a step of another
+def alternating_steps():
+    """(k, state, T, phi_r, surface, cfg, out): 300 rounds of one step of
+    each pairing of two tilted surfaces with two configurations (lag,
+    sinusoidal disturbance and friction, against none of them), each
+    pairing stepping on from its own last state out = step(...)."""
     surfaces = [SurfaceModel.from_tilt(30.0, 40.0, p_s=(1.0, 0.5, 1.5),
                                        k_e=300.0, b_e=0.8),
                 SurfaceModel.from_tilt(-15.0, 0.0, p_s=(0.8, 0.0, 1.2),
@@ -383,19 +413,92 @@ def test_step_alternating_plants_match_reference_bit_for_bit():
     states = [PlantState(p_e=s.p_s - 0.002 * s.B_f, v_e=0.3 * s.B_f,
                          phi=(0.02, -0.01, 0.1)) for s, _ in pairs]
     rng = np.random.default_rng(23)
-    bisected, pressed = [0] * len(pairs), [0] * len(pairs)
     for _ in range(300):
         for k, (s, cfg) in enumerate(pairs):
             T = cfg.m_t * cfg.g * rng.uniform(0.9, 1.1)
             phi_r = rng.normal(scale=0.05, size=3)
             out = step(states[k], T, phi_r, s, cfg)
-            y1, n_rk4 = reference_step(states[k], T, phi_r, s, cfg)
-            assert list(out.p_e) + list(out.v_e) + list(out.phi) == y1
-            assert out.in_contact == (float(s.B_f @ out.p_e) - s.x_fs > 0.0)
-            bisected[k] += n_rk4 > 1
-            pressed[k] += out.in_contact
+            yield k, states[k], T, phi_r, s, cfg, out
             states[k] = out
+
+
+def test_step_alternating_plants_match_reference_bit_for_bit():
+    # step reads constants that SurfaceModel and PlantConfig derive when they
+    # are built; stepping the pairings in turn must match the reference
+    # exactly, so that no constant of one pair leaks into a step of another
+    bisected, pressed = [0] * 4, [0] * 4
+    for k, st, T, phi_r, s, cfg, out in alternating_steps():
+        y1, n_rk4 = reference_step(st, T, phi_r, s, cfg)
+        assert list(out.p_e) + list(out.v_e) + list(out.phi) == y1
+        assert out.in_contact == (float(s.B_f @ out.p_e) - s.x_fs > 0.0)
+        bisected[k] += n_rk4 > 1
+        pressed[k] += out.in_contact
     assert min(bisected) > 0 and min(pressed) > 0
+
+
+def test_step_without_lag_equals_nine_state_rk4_bit_for_bit():
+    # without lag the attitude is phi_r at every stage, so the closed form
+    # changes nothing: every tau_att = 0 step of the three draws above
+    # equals rk4 on the nine-state derivative bit for bit, signed zeros and
+    # bisected steps included
+    draws = ([d[1:] for d in generic_draws()] + [d[1:] for d in equal_yaw_draws()]
+             + [d[1:6] for d in alternating_steps()])
+    n = 0
+    for args in draws:
+        if args[4].tau_att == 0.0:
+            out = step(*args)
+            y1, _ = reference_step(*args, nine_state=True)
+            got = list(out.p_e) + list(out.v_e) + list(out.phi)
+            assert bits(got) == bits(y1), args
+            n += 1
+    assert n == 300 + 500 + 600
+
+
+def test_step_lag_is_more_accurate_than_nine_state_rk4():
+    # against 256 nine-state RK4 substeps, the closed-form lag's attitude is
+    # exact to rounding, where RK4 on the lag errs by up to ~5e-7 rad, and
+    # its worst position and velocity errors are no larger. Angles are
+    # within 0.5 rad: with draw's angles (up to ~20 rad from phi_r, tau_att
+    # down to 5 ms, so the thrust turns ~1.5 rad within one step) neither
+    # integrator resolves the step. No step crosses the surface, where the
+    # shared bisection tolerance dominates both errors.
+    rng = np.random.default_rng(26)
+    dt, n_sub = 1e-3, 256
+    worst = np.zeros((2, 2))
+    for i in range(200):
+        dist = [DisturbanceConfig(),
+                DisturbanceConfig(const=draw(rng, 3)),
+                DisturbanceConfig(const=draw(rng, 3), amp=draw(rng, 3),
+                                  freq_hz=rng.uniform(0.1, 50.0, 3)),
+                DisturbanceConfig(const=draw(rng, 3),
+                                  tangential_friction=rng.uniform(0.1, 5.0)),
+                ][(i // 2) % 4]
+        cfg = PlantConfig(m_t=rng.uniform(2.0, 6.0), tau_att=rng.uniform(0.005, 0.1),
+                          disturbance=dist, dt=dt)
+        s = SurfaceModel.from_tilt(rng.uniform(-60.0, 60.0), rng.uniform(-180.0, 180.0),
+                                   p_s=draw(rng, 3), k_e=rng.uniform(50.0, 500.0),
+                                   b_e=rng.uniform(0.1, 1.0))
+        v_n = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-6.0, 0.0)
+        pen0 = rng.uniform(0.1, 1.0) * (-1.0 if i % 2 == 0 else 0.05)
+        st = PlantState(p_e=s.p_s + pen0 * s.B_f + s.B_m @ draw(rng, 2),
+                        v_e=v_n * s.B_f + s.B_m @ draw(rng, 2),
+                        phi=rng.uniform(-0.5, 0.5, 3), t=rng.uniform(0.0, 10.0))
+        T = rng.uniform(0.0, 80.0)
+        phi_r = rng.uniform(-0.5, 0.5, 3)
+        fine_cfg, fine = dataclasses.replace(cfg, dt=dt / n_sub), st
+        for _ in range(n_sub):
+            y, _ = reference_step(fine, T, phi_r, s, fine_cfg, nine_state=True)
+            fine = PlantState(y[0:3], y[3:6], y[6:9], t=fine.t + fine_cfg.dt)
+        want = np.array(fine.p_e + fine.v_e + fine.phi)
+        out = step(st, T, phi_r, s, cfg)
+        assert out.in_contact == (i % 2 == 1)
+        got = np.array(out.p_e + out.v_e + out.phi)
+        nine = np.array(reference_step(st, T, phi_r, s, cfg, nine_state=True)[0])
+        for row, y in enumerate((got, nine)):
+            worst[row] = np.maximum(worst[row], [np.abs(y[0:3] - want[0:3]).max(),
+                                                 np.abs(y[3:6] - want[3:6]).max()])
+        assert np.abs(got[6:9] - want[6:9]).max() <= 1e-14
+    assert np.all(worst[0] <= worst[1]), worst
 
 
 def test_rk4_exponential_decay_matches_taylor_polynomial():
@@ -507,10 +610,12 @@ def test_surface_rejects_bad_basis():
 
 
 def test_surface_rejects_nan_parameters_and_basis():
-    # NaN fails every comparison, so the checks are written to fail on it
-    for kw in (dict(k_e=math.nan), dict(b_e=math.nan)):
-        with pytest.raises(ValueError):
-            SurfaceModel.from_tilt(0.0, **kw)
+    # NaN fails every comparison, so the checks are written to fail on it;
+    # an infinite stiffness or damping is rejected too
+    for name in ("k_e", "b_e"):
+        for v in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"surface {name} must be positive"):
+                SurfaceModel.from_tilt(0.0, **{name: v})
     with pytest.raises(ValueError):
         SurfaceModel(B_f=[math.nan, 0.0, 0.0],
                      B_m=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
