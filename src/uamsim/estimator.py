@@ -26,14 +26,16 @@ class RlseConfig:
     P0: float = 100.0
 
     def __post_init__(self):
-        if not (0.0 < self.k_min <= self.k_max):
-            raise ValueError("invalid stiffness bounds")
-        if not (0.0 < self.b_min <= self.b_max):
-            raise ValueError("invalid damping bounds")
-        if not (0.0 < self.P0 <= self.rho_M):
-            raise ValueError("need 0 < P0 <= rho_M: the cap must admit P0*I")
-        if not (self.mu1 >= 0.0 and self.mu2 > 0.0):
-            raise ValueError("need mu1 >= 0 and mu2 > 0")
+        if not (0.0 < self.k_min <= self.k_max < math.inf):
+            raise ValueError("need 0 < k_min <= k_max < inf")
+        if not (0.0 < self.b_min <= self.b_max < math.inf):
+            raise ValueError("need 0 < b_min <= b_max < inf")
+        if not (0.0 < self.P0 <= self.rho_M < math.inf):
+            raise ValueError("need 0 < P0 <= rho_M < inf: the cap must admit P0*I")
+        if not 0.0 <= self.mu1 < math.inf:
+            raise ValueError("need 0 <= mu1 < inf")
+        if not 0.0 < self.mu2 < math.inf:
+            raise ValueError("need 0 < mu2 < inf")
 
     def initial_estimate(self) -> "EnvEstimate":
         """Uninformed prior: midpoint of the admissible box, P = P0*I."""
@@ -107,6 +109,12 @@ class ContactDetector:
     debounce: int = 3
     in_contact: bool = False
     _count: int = field(default=0, repr=False)
+
+    def __post_init__(self):
+        if not 0.0 <= self.threshold < math.inf:
+            raise ValueError("threshold must be finite and nonnegative")
+        if not isinstance(self.debounce, int) or self.debounce < 1:
+            raise ValueError("debounce must be an integer of at least 1")
 
     def update(self, f_f: float) -> bool:
         loaded = abs(f_f) > self.threshold

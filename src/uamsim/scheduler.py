@@ -129,10 +129,16 @@ class GainBox:
 
 
 def _clip_halfplane(poly, a, b, c):
-    """Sutherland-Hodgman clip of a convex polygon against a*k + b*v <= c."""
+    """Sutherland-Hodgman clip of a convex polygon against a*k + b*v <= c.
+
+    Returns (polygon, area). The area sums the shoelace term of each pair of
+    vertices as they are emitted, then of (last, first): _shoelace's terms in
+    its order, so it is 0.5 * abs(_shoelace(polygon)[0]) bit for bit.
+    """
     out = []
+    a2 = 0.0
     if not poly:
-        return out
+        return out, a2
     px, py = poly[0]
     fp = a * px + b * py - c
     for q in poly[1:] + poly[:1]:             # edges (0, 1), ..., (n-1, 0)
@@ -140,22 +146,21 @@ def _clip_halfplane(poly, a, b, c):
         fq = a * qx + b * qy - c
         if (fp > 0.0) != (fq > 0.0):
             t = fp / (fp - fq)
-            out.append((px + t * (qx - px), py + t * (qy - py)))
+            x, y = px + t * (qx - px), py + t * (qy - py)
+            if out:
+                a2 += lx * y - x * ly
+            out.append((x, y))
+            lx, ly = x, y
         if fq <= 0.0:
+            if out:
+                a2 += lx * qy - qx * ly
             out.append(q)
+            lx, ly = qx, qy
         px, py, fp = qx, qy, fq
-    return out
-
-
-def _area(poly) -> float:
-    """Area of a polygon: half the absolute shoelace sum, as in _shoelace."""
-    n = len(poly)
-    a2 = 0.0
-    for i in range(n):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % n]
-        a2 += x0 * y1 - x1 * y0
-    return 0.5 * abs(a2)
+    if out:
+        x0, y0 = out[0]
+        a2 += lx * y0 - x0 * ly
+    return out, 0.5 * abs(a2)
 
 
 def _shoelace(poly) -> tuple[float, float, float]:
@@ -212,13 +217,12 @@ def _best_region(cond_id: str, box: GainBox, shared, lines) -> GainRegion:
     """
     base = box.corners()
     for hp in shared:
-        base = _clip_halfplane(base, *hp)
+        base = _clip_halfplane(base, *hp)[0]
         if not base:            # then every candidate is empty
             return GainRegion(cond_id)
     best = GainRegion(cond_id)
     for hp in lines:
-        poly = _clip_halfplane(base, *hp)
-        area = _area(poly)
+        poly, area = _clip_halfplane(base, *hp)
         if area >= _MIN_AREA and area > best.area:
             best = GainRegion(cond_id, vertices=poly, area=area)
     return best
@@ -227,21 +231,6 @@ def _best_region(cond_id: str, box: GainBox, shared, lines) -> GainRegion:
 # ---------------------------------------------------------------------------
 # explicit-inequality regions
 # ---------------------------------------------------------------------------
-
-def _linspace(lo: float, hi: float, n: int) -> list:
-    """np.linspace(lo, hi, n).tolist() for n >= 2, bit for bit: the same
-    operations in the same order, including its form for a step that
-    rounds to zero."""
-    div = n - 1
-    delta = hi - lo
-    step = delta / div
-    if step != 0.0:
-        out = [i * step + lo for i in range(div)]
-    else:
-        out = [i / div * delta + lo for i in range(div)]
-    out.append(hi)
-    return out
-
 
 def _tangents(k_lo: float, k_hi: float, k_e: float, b_e: float, m_t: float):
     """Half-planes b_f >= tangent at _N_SUPPORT points k_f in [k_lo, k_hi].
@@ -253,7 +242,7 @@ def _tangents(k_lo: float, k_hi: float, k_e: float, b_e: float, m_t: float):
     mk = m_t * k_e
     root_mk = math.sqrt(mk)
     out = []
-    for c in _linspace(k_lo, k_hi, _N_SUPPORT):
+    for c in np.linspace(k_lo, k_hi, _N_SUPPORT).tolist():
         slope = -b_e + root_mk / math.sqrt(1.0 + c)
         val = -b_e * (1.0 + c) + 2.0 * math.sqrt(mk * (1.0 + c))
         out.append(_lower(slope, val - slope * c))
@@ -352,11 +341,11 @@ def region_grid(cond_id: str, k_p: float, k_d: float, k_e: float, b_e: float,
         raise ValueError("N must be >= 1")
     if cond_id not in _CONDITIONS:
         raise ValueError(f"unknown condition {cond_id!r}")
-    bs = _linspace(box.b_f_min, box.b_f_max, N + 1)
+    bs = np.linspace(box.b_f_min, box.b_f_max, N + 1).tolist()
     K1 = k_p / m_t
     B1 = k_d / m_t
     rows = []
-    for k_f in _linspace(box.k_f_min, box.k_f_max, N + 1):
+    for k_f in np.linspace(box.k_f_min, box.k_f_max, N + 1).tolist():
         K2 = (1.0 + k_f) * k_e / m_t
         lo = min(K1, B1, K2)
         row = []

@@ -180,6 +180,13 @@ def test_config_rejects_invalid_bounds():
                dict(mu1=-0.1), dict(mu2=0.0), dict(mu2=-1.0)):
         with pytest.raises(ValueError):
             make_cfg(**kw)
+    # NaN and +-inf in any field, with a message that names it
+    for name in ("mu1", "mu2", "rho_M", "k_min", "k_max", "b_min", "b_max", "P0"):
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=name):
+                make_cfg(**{name: x})
+    with pytest.raises(ValueError, match="rho_M"):               # no NaN in P
+        make_cfg(rho_M=math.inf, P0=math.inf)
     make_cfg(k_min=200.0, k_max=200.0, b_min=0.5, b_max=0.5)   # point box
     make_cfg(rho_M=100.0, P0=100.0, mu1=0.0)                    # edge values
 
@@ -206,6 +213,18 @@ def test_detector_threshold():
     for _ in range(10):
         det.update(-0.09)
     assert not det.in_contact
+
+
+def test_detector_rejects_invalid_parameters():
+    # Scenario's rules: 0 <= threshold < inf, debounce an integer >= 1
+    for threshold in (math.nan, math.inf, -math.inf, -0.1):
+        with pytest.raises(ValueError, match="threshold"):
+            ContactDetector(threshold=threshold)
+    for debounce in (0, -2, 2.5, math.nan, math.inf, "3"):
+        with pytest.raises(ValueError, match="debounce"):
+            ContactDetector(debounce=debounce)
+    det = ContactDetector(threshold=0.0, debounce=1)            # edge values
+    assert not det.update(0.0) and det.update(1e-300)
 
 
 def test_rlse_update_rejects_exactly_the_nonfinite_inputs():
