@@ -16,6 +16,7 @@ import timeit
 from collections import deque
 from dataclasses import dataclass, field
 from math import inf
+from numbers import Real
 
 import numpy as np
 
@@ -123,10 +124,13 @@ class Scenario:
                 raise ValueError(f"{name} must be {n} floats: {e}") from None
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, str) or v is None:     # m_bar may be None
-                continue
-            if not all(map(math.isfinite, v if isinstance(v, tuple) else (v,))):
-                raise ValueError(f"{f.name} must be finite")
+            if isinstance(f.default, str):          # the text fields
+                if not isinstance(v, str):
+                    raise ValueError(f"{f.name} must be a string")
+            elif not (v is None and f.default is None   # m_bar defaults to m_t
+                      or all(isinstance(x, Real) and math.isfinite(x)
+                             for x in (v if isinstance(v, tuple) else (v,)))):
+                raise ValueError(f"{f.name} must be a finite number")
         if self.duration < 0.0:
             raise ValueError("duration must be nonnegative")
         if self.approach_speed <= 0.0:
@@ -151,9 +155,8 @@ class Scenario:
         for name in ("seed", "contact_threshold", "slew_rate", "sched_period"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be nonnegative")
-        d = np.asarray(self.slide_dir, dtype=float)
-        n = np.linalg.norm(d)
-        self._slide_unit = tuple((d / n if n > 0 else d).tolist())
+        (d0, d1), n = self.slide_dir, math.hypot(*self.slide_dir)
+        self._slide_unit = (d0 / n, d1 / n) if n > 0.0 else self.slide_dir
         # each component checks its own parameters when it is built
         for build in (self.surface, self.plant_config, self.gain_set,
                       self.rlse_config):
@@ -218,6 +221,9 @@ class Scenario:
     def from_json(cls, path, **overrides) -> "Scenario":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("a scenario file must hold a JSON object, not "
+                             f"{type(raw).__name__}")
         raw.update(overrides)
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - names

@@ -218,8 +218,10 @@ def _decay(h: float, tau: float) -> tuple:
     return (math.exp(-0.5 * h / tau), math.exp(-h / tau)) if tau > 0.0 else (0.0, 0.0)
 
 
-def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
-    """One step y(t) -> y(t + h) of the plant, y = p_e + v_e + phi.
+def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig, contact):
+    """One step y(t) -> y(t + h) of the plant, y = p_e + v_e + phi, in the
+    contact mode given: every stage applies the contact law if contact is
+    set and none does otherwise, whatever side of the surface it is on.
 
     phi_r is held over the step, so the lag phi' = (phi_r - phi)/tau_att has
     the closed form phi(s) = phi_r + (phi - phi_r) e^(-s/tau_att), and is
@@ -244,8 +246,8 @@ def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
     fx = T * (cz * sy * cx + sz * sx) + dx1     # T * R(phi) e3, inlined
     fy = T * (sz * sy * cx - cz * sx) + dy1
     fz = T * (cx * cy) + dz1 - mg
-    pen = bx * px + by * py + bz * pz - x_fs
-    if pen > 0.0:
+    if contact:
+        pen = bx * px + by * py + bz * pz - x_fs
         xd = bx * vx + by * vy + bz * vz
         fn = -k_e * pen - b_e * xd
         fx, fy, fz = fx + fn * bx, fy + fn * by, fz + fn * bz
@@ -264,8 +266,8 @@ def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
     px2, py2, pz2 = px + h2 * vx, py + h2 * vy, pz + h2 * vz
     vx2, vy2, vz2 = vx + h2 * ax1, vy + h2 * ay1, vz + h2 * az1
     fx, fy, fz = gx, gy, gz
-    pen = bx * px2 + by * py2 + bz * pz2 - x_fs
-    if pen > 0.0:
+    if contact:
+        pen = bx * px2 + by * py2 + bz * pz2 - x_fs
         xd = bx * vx2 + by * vy2 + bz * vz2
         fn = -k_e * pen - b_e * xd
         fx, fy, fz = fx + fn * bx, fy + fn * by, fz + fn * bz
@@ -277,8 +279,8 @@ def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
     px3, py3, pz3 = px + h2 * vx2, py + h2 * vy2, pz + h2 * vz2
     vx3, vy3, vz3 = vx + h2 * ax2, vy + h2 * ay2, vz + h2 * az2
     fx, fy, fz = gx, gy, gz
-    pen = bx * px3 + by * py3 + bz * pz3 - x_fs
-    if pen > 0.0:
+    if contact:
+        pen = bx * px3 + by * py3 + bz * pz3 - x_fs
         xd = bx * vx3 + by * vy3 + bz * vz3
         fn = -k_e * pen - b_e * xd
         fx, fy, fz = fx + fn * bx, fy + fn * by, fz + fn * bz
@@ -294,8 +296,8 @@ def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
     fx = T * (cz * sy * cx + sz * sx) + dx4
     fy = T * (sz * sy * cx - cz * sx) + dy4
     fz = T * (cx * cy) + dz4 - mg
-    pen = bx * px4 + by * py4 + bz * pz4 - x_fs
-    if pen > 0.0:
+    if contact:
+        pen = bx * px4 + by * py4 + bz * pz4 - x_fs
         xd = bx * vx4 + by * vy4 + bz * vz4
         fn = -k_e * pen - b_e * xd
         fx, fy, fz = fx + fn * bx, fy + fn * by, fz + fn * bz
@@ -313,43 +315,30 @@ def _rk4(t, y, h, T, phi_r, surface: SurfaceModel, cfg: PlantConfig):
             vz + h6 * (az1 + 2.0 * az2 + 2.0 * az3 + az4), rx, ry, rz)
 
 
-_BISECT_TOL = 1e-6   # m, penetration resolution at a contact switch
 _MAX_SPLITS = 8
 
 
-def _penetration(y, surface: SurfaceModel) -> float:
-    """x_f - x_fs of the state y = p_e + ..., in floats."""
+def _step_with_events(rk, surface, y, y1, t, h, contact):
+    """Step y -> y1 = rk(t, y, h, contact), splitting where the surface is
+    crossed.
+
+    While a substep ends on the other side of the surface from its mode, it
+    is split once where its penetration, interpolated linearly between its
+    ends, crosses zero: the mode is held up to there and flipped for the
+    rest. A split point at either end of the substep keeps y1.
+    """
     _, _, x_fs, bx, by, bz = surface._consts
-    return bx * y[0] + by * y[1] + bz * y[2] - x_fs
-
-
-def _step_with_events(rk, surface, y, y1, t, h):
-    """Step y -> y1 = rk(t, y, h), subdividing at contact boundary crossings."""
     for _ in range(_MAX_SPLITS):
-        pen0 = _penetration(y, surface)
-        pen1 = _penetration(y1, surface)
-        if (pen0 > 0.0) == (pen1 > 0.0) or abs(pen1) <= _BISECT_TOL:
+        pen1 = bx * y1[0] + by * y1[1] + bz * y1[2] - x_fs
+        if (pen1 > 0.0) == contact:
             return y1
-        # bisect the substep length until the crossing state is on the boundary
-        lo, hi = 0.0, h
-        yc = y1
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            ym = rk(t, y, mid)
-            pm = _penetration(ym, surface)
-            if (pm > 0.0) == (pen0 > 0.0):
-                lo = mid
-            else:
-                hi = mid
-                yc = ym
-            if abs(pm) <= _BISECT_TOL:
-                yc = ym
-                hi = mid
-                break
-        if h - hi <= 0.0:
-            return yc
-        t, y, h = t + hi, yc, h - hi
-        y1 = rk(t, y, h)
+        pen0 = bx * y[0] + by * y[1] + bz * y[2] - x_fs
+        s = h * pen0 / (pen0 - pen1)
+        if not 0.0 < s < h:
+            return y1
+        y = rk(t, y, s, contact)
+        t, h, contact = t + s, h - s, not contact
+        y1 = rk(t, y, h, contact)
     return y1
 
 
@@ -370,14 +359,15 @@ def step(state: PlantState, T: float, phi_r, surface: SurfaceModel,
     no_lag = cfg.tau_att == 0.0
     y = (*state.p_e, *state.v_e, *(phi_r if no_lag else state.phi))
     t, h = state.t, cfg.dt
-    y1 = _rk4(t, y, h, T, phi_r, surface, cfg)
+    _, _, x_fs, bx, by, bz = surface._consts
+    contact = bx * y[0] + by * y[1] + bz * y[2] - x_fs > 0.0
+    y1 = _rk4(t, y, h, T, phi_r, surface, cfg, contact)
     px, py, pz, vx, vy, vz, rx, ry, rz = y1
-    _, _, x_fs, bx, by, bz = surface._consts       # _penetration, inlined
     in_contact = bx * px + by * py + bz * pz - x_fs > 0.0
-    if in_contact != (bx * y[0] + by * y[1] + bz * y[2] - x_fs > 0.0):
+    if in_contact != contact:
         px, py, pz, vx, vy, vz, rx, ry, rz = _step_with_events(
-            lambda t, y, h: _rk4(t, y, h, T, phi_r, surface, cfg),
-            surface, y, y1, t, h)
+            lambda t, y, h, c: _rk4(t, y, h, T, phi_r, surface, cfg, c),
+            surface, y, y1, t, h, contact)
         in_contact = bx * px + by * py + bz * pz - x_fs > 0.0
     # the fields already have their types: skip __post_init__'s conversion
     s = object.__new__(PlantState)

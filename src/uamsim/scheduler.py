@@ -619,6 +619,10 @@ class SlewLimitedGains:
     b_f: float
     rate: float = 5.0            # units/s per gain
 
+    def __post_init__(self):
+        if not 0.0 <= self.rate < inf:
+            raise ValueError("rate must be nonnegative and finite")
+
     def track(self, target_k: float, target_b: float, dt: float) -> tuple[float, float]:
         step = self.rate * dt       # then min(max(d, -step), step), inlined
         dk, db = target_k - self.k_f, target_b - self.b_f

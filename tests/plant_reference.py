@@ -67,7 +67,9 @@ def rk4(f, t: float, y: list, h: float) -> list:
 
 
 def translational(T: float, surface, cfg):
-    """(p_e + v_e)' = f(t, y, phi) of the plant at attitude phi, a list."""
+    """(p_e + v_e)' = f(t, y, phi, contact) of the plant at attitude phi, a
+    list, with the contact law applied if contact is set, on either side of
+    the surface."""
     m, mg = cfg.m_t, cfg.m_t * cfg.g
     k_e, b_e, x_fs = surface.k_e, surface.b_e, surface.x_fs
     bx, by, bz = surface.B_f.tolist()
@@ -75,7 +77,7 @@ def translational(T: float, surface, cfg):
     fric = dist.tangential_friction
     const = None if any(dist.amp) else dist.const
 
-    def f(t, y, phi):
+    def f(t, y, phi, contact):
         px, py, pz, vx, vy, vz = y
         dx, dy, dz = dist.force(t) if const is None else const
         tx, ty, tz = thrust_direction(phi)
@@ -83,8 +85,8 @@ def translational(T: float, surface, cfg):
         fy = T * ty + dy
         fz = T * tz + dz - mg
 
-        pen = bx * px + by * py + bz * pz - x_fs
-        if pen > 0.0:
+        if contact:
+            pen = bx * px + by * py + bz * pz - x_fs
             x_dot_f = bx * vx + by * vy + bz * vz
             fn = -k_e * pen - b_e * x_dot_f
             fx += fn * bx
@@ -101,16 +103,17 @@ def translational(T: float, surface, cfg):
 
 
 def dynamics(T: float, phi_r, surface, cfg):
-    """The plant's y' = f(t, y), y = p_e + v_e + phi, under fixed commands."""
+    """The plant's y' = f(t, y, contact), y = p_e + v_e + phi, under fixed
+    commands, in the contact mode given."""
     tau = cfg.tau_att
     rx_r, ry_r, rz_r = phi_r
     f6 = translational(T, surface, cfg)
 
-    def f(t, y):
+    def f(t, y, contact):
         rx, ry, rz = y[6:9]
         dphi = ([(rx_r - rx) / tau, (ry_r - ry) / tau, (rz_r - rz) / tau]
                 if tau > 0.0 else [0.0, 0.0, 0.0])
-        return f6(t, y[0:6], (rx, ry, rz)) + dphi
+        return f6(t, y[0:6], (rx, ry, rz), contact) + dphi
 
     return f
 
@@ -129,14 +132,15 @@ def lag(phi0, phi_r, s: float, tau: float) -> list:
 def reference_step(state, T: float, phi_r, surface, cfg, nine_state=False):
     """The nine floats p_e + v_e + phi that plant.step should reach.
 
-    Integrates inside the plant's own contact-event subdivision, each RK4
-    step of which is rk4 on the six floats p_e + v_e, its stages at the
-    attitude lag's closed form at the offsets 0, h/2 and h from the step's
-    start (rk4 runs from time 0, so the offsets are exact and the stage
-    times add the start). With nine_state, each step is rk4 on dynamics,
-    the lag integrated with the rest. Returns the state and the number of
-    RK4 steps taken, which is more than one when a crossing of the surface
-    was bisected.
+    Integrates inside the plant's own contact-event splitting, each RK4
+    step of which is rk4 on the six floats p_e + v_e in the contact mode it
+    holds, its stages at the attitude lag's closed form at the offsets 0,
+    h/2 and h from the step's start (rk4 runs from time 0, so the offsets
+    are exact and the stage times add the start). The first step holds the
+    mode of the start's side of the surface. With nine_state, each step is
+    rk4 on dynamics, the lag integrated with the rest. Returns the state and
+    the number of RK4 steps taken, which is more than one when a crossing of
+    the surface was split.
     """
     phi_r = [float(v) for v in phi_r]
     tau = cfg.tau_att
@@ -144,18 +148,20 @@ def reference_step(state, T: float, phi_r, surface, cfg, nine_state=False):
     f6 = translational(T, surface, cfg)
     steps = []
 
-    def rk(t, y, h):
+    def rk(t, y, h, contact):
         steps.append(h)
         if nine_state:
-            return rk4(f9, t, y, h)
+            return rk4(lambda t, y: f9(t, y, contact), t, y, h)
         phi0 = y[6:9]
-        return rk4(lambda s, y: f6(t + s, y, lag(phi0, phi_r, s, tau)),
+        return rk4(lambda s, y: f6(t + s, y, lag(phi0, phi_r, s, tau), contact),
                    0.0, y[0:6], h) + lag(phi0, phi_r, h, tau)
 
     phi = phi_r if tau == 0.0 else list(state.phi)
     y = list(state.p_e) + list(state.v_e) + phi
-    y1 = plant._step_with_events(rk, surface, y, rk(state.t, y, cfg.dt),
-                                 state.t, cfg.dt)
+    (bx, by, bz), (px, py, pz) = surface.B_f.tolist(), state.p_e
+    contact = bx * px + by * py + bz * pz - surface.x_fs > 0.0
+    y1 = plant._step_with_events(rk, surface, y, rk(state.t, y, cfg.dt, contact),
+                                 state.t, cfg.dt, contact)
     if tau == 0.0:
         y1[6:9] = phi_r
     return y1, len(steps)

@@ -278,6 +278,19 @@ def test_scenario_json_overrides_and_unknown_keys(tmp_path):
         Scenario.from_json(p)
 
 
+def test_scenario_from_json_rejects_malformed_files(tmp_path):
+    # a file that is not an object, or a field of the wrong type, raises a
+    # ValueError that names the problem, not an AttributeError or TypeError
+    p = tmp_path / "scn.json"
+    for text, match in (("[1, 2]", "JSON object, not list"), ("3", "not int"),
+                        ('{"duration": null}', "duration"),
+                        ('{"duration": "3"}', "duration"),
+                        ('{"seed": null}', "seed"), ('{"name": 3}', "name")):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            Scenario.from_json(p)
+
+
 def test_unknown_preset_raises():
     with pytest.raises(KeyError):
         preset("experiment9")
@@ -312,12 +325,18 @@ def test_unknown_preset_raises():
     # values to unpack" at its first tick; every vector field is checked
     dict(slide_dir=(0.0, 1.0, 0.0)), dict(p_s=(1.0, 1.5)),
     dict(dist_freq=(0.0, 0.0, 0.0, 0.0)),
+    # a string or None in a number field, or a number in a text field,
+    # raised a TypeError from a comparison or passed
+    dict(duration=None), dict(duration="3"), dict(seed=None), dict(k_e="200"),
+    dict(m_bar="4.2"), dict(name=3), dict(force_profile=None),
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_scenario_validation(bad):
-    # a bad vector field, of the wrong length or not finite, is named
-    name = next(iter(bad))
-    vector = name in ("p_s", "slide_dir", "dist_const", "dist_amp", "dist_freq")
-    with pytest.raises(ValueError, match=name if vector else None):
+    # a bad vector field, of the wrong length or not finite, and a field of
+    # the wrong type are named
+    (name, value), = bad.items()
+    named = (name in ("p_s", "slide_dir", "dist_const", "dist_amp", "dist_freq")
+             or isinstance(value, (str, type(None))) or name == "name")
+    with pytest.raises(ValueError, match=name if named else None):
         Scenario(**bad)
 
 
@@ -332,7 +351,7 @@ def test_motion_setpoint_equals_numpy_form_bit_for_bit():
                       slide_start=rng.uniform(0.0, 5.0))
         x_m0 = tuple(rng.normal(size=2).tolist())
         t = rng.uniform(0.0, 20.0)
-        unit = d / np.linalg.norm(d)
+        unit = d / math.hypot(*d)
         expect = np.asarray(x_m0) + unit * sc.slide_speed * max(0.0, t - sc.slide_start)
         out = sc.motion_setpoint(t, x_m0)
         assert type(out) is tuple and list(out) == expect.tolist()

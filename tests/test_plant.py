@@ -6,7 +6,7 @@ import pytest
 
 from uamsim.plant import (DisturbanceConfig, Measurement, MeasurementNoise,
                           PlantConfig, PlantState, SurfaceModel, contact_force,
-                          _step_with_events, measure, step)
+                          _MAX_SPLITS, _step_with_events, measure, step)
 
 from plant_reference import (draw, dynamics, reference_step, rk4, rotation,
                              thrust_direction)
@@ -135,47 +135,57 @@ def test_step_contact_bounce_matches_fine_reference():
     assert abs(coarse - fine) / fine < 0.01
 
 
-def _recorded_event_split(rk_y0, y0, y1):
-    """Run _step_with_events with a recording rk on the x = 0 plane."""
+def _recorded_event_split(end, y0, y1, contact):
+    """Run _step_with_events on the x = 0 plane with a recording rk whose
+    step ends at x = end(h, contact)."""
     s = SurfaceModel(B_f=(1.0, 0.0, 0.0),
                      B_m=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                      p_s=(0.0, 0.0, 0.0))
     steps = []
 
-    def rk(t, y, h):
-        steps.append(h)
-        return (rk_y0(y, h), *y[1:])
+    def rk(t, y, h, contact):
+        steps.append((h, contact))
+        return (end(h, contact), *y[1:])
 
-    return _step_with_events(rk, s, y0, y1, 0.0, 1e-3), steps
+    return _step_with_events(rk, s, y0, y1, 0.0, 1e-3, contact), steps
 
 
 def test_step_with_events_stops_after_max_splits():
-    # every rk step flips the penetration to -/+ h: each bisection ends on
-    # the tolerance after 10 halvings, and the remainder crosses again
+    # every rk step ends on the other side from its mode, at -/+ h: each
+    # split holds the mode up to the crossing and flips it for the rest,
+    # two calls, and the rest crosses again
     y0 = (1e-4,) + (0.0,) * 8
-    y, steps = _recorded_event_split(lambda y, h: -h if y[0] > 0.0 else h,
-                                     y0, (-1e-3,) + y0[1:])
-    assert len(steps) == 88
-    assert sum(h > 5e-4 for h in steps) == 8    # one remainder per split
-    assert y[0] == -0.00099221415079041
+    y, steps = _recorded_event_split(lambda h, c: -h if c else h,
+                                     y0, (-1e-3,) + y0[1:], True)
+    assert len(steps) == 2 * _MAX_SPLITS
+    held, rest = steps[0::2], steps[1::2]
+    assert [c for _, c in held] == [i % 2 == 0 for i in range(_MAX_SPLITS)]
+    assert all(c0 != c1 for (_, c0), (_, c1) in zip(held, rest))
+    assert held[0][0] == 1e-3 * 1e-4 / (1e-4 + 1e-3)
+    for (s, _), (h, _), (h_prev, _) in zip(held, rest, [(1e-3, None)] + rest):
+        assert 0.0 < s < h_prev and h == h_prev - s
+    assert y[0] == -rest[-1][0]
 
 
 def test_step_with_events_returns_full_step_when_no_substep_crosses():
-    # only the full step crosses: bisection never moves hi off h, so there is
-    # no remainder and y1 comes back
+    # a step that ends on its mode's side, the surface itself counting as
+    # free, comes back as it is, without an rk call
     y0 = (1e-4,) + (0.0,) * 8
-    y1 = (-1e-3,) + y0[1:]
-    y, steps = _recorded_event_split(lambda y, h: y[0], y0, y1)
-    assert len(steps) == 60
-    assert y is y1
+    for contact, x1 in ((True, 1e-3), (False, -1e-3), (False, 0.0)):
+        y1 = (x1,) + y0[1:]
+        y, steps = _recorded_event_split(lambda h, c: 0.0, y0, y1, contact)
+        assert steps == [] and y is y1
 
 
-def test_step_with_events_accepts_crossing_within_tolerance():
-    y0 = (1e-4,) + (0.0,) * 8
-    y1 = (-5e-7,) + y0[1:]
-    y, steps = _recorded_event_split(lambda y, h: y[0], y0, y1)
-    assert steps == []
-    assert y is y1
+def test_step_with_events_keeps_y1_at_a_degenerate_split_point():
+    # a free step from the surface itself (pen0 = 0) splits at 0, and a
+    # contact step ending on it (pen1 = 0) at h: either keeps y1
+    for contact, x0, x1 in ((False, 0.0, 1e-3), (False, -0.0, 1e-3),
+                            (True, 1e-4, 0.0)):
+        y0 = (x0,) + (0.0,) * 8
+        y1 = (x1,) + y0[1:]
+        y, steps = _recorded_event_split(lambda h, c: 0.0, y0, y1, contact)
+        assert steps == [] and y is y1
 
 
 def test_step_rejects_nonfinite():
@@ -265,7 +275,8 @@ def test_step_acceleration_identity_at_evaluation_point():
         phi = phi_r if tau == 0.0 else np.array([0.01, 0.02, 0.1])
         st = PlantState(p_e=p_e, v_e=v_e, phi=phi)
         y = np.concatenate([st.p_e, st.v_e, st.phi])
-        d = np.array(dynamics(T, phi_r.tolist(), s, cfg)(t, y.tolist()))
+        d = np.array(dynamics(T, phi_r.tolist(), s, cfg)(t, y.tolist(),
+                                                         p_e is pressed))
         x_dot_f = float(s.B_f @ st.v_e)
         f_c = contact_force(float(s.B_f @ st.p_e), x_dot_f, s)
         delta = dist.const + dist.amp * np.sin(2.0 * math.pi * np.asarray(dist.freq_hz) * t)
@@ -283,7 +294,7 @@ def test_step_acceleration_identity_at_evaluation_point():
 
 def generic_draws():
     """(where, state, T, phi_r, surface, cfg): 600 seeded steps in free
-    flight, pressed into the surface, and crossing it (bisected); with no
+    flight, pressed into the surface, and crossing it (split); with no
     disturbance, a constant one, a sinusoidal one and tangential friction;
     with and without attitude lag."""
     rng = np.random.default_rng(17)
@@ -322,7 +333,7 @@ def generic_draws():
 def test_step_equals_generic_rk4_bit_for_bit():
     # plant.step's unrolled RK4 must reproduce the reference step exactly:
     # rk4 on p_e + v_e with the attitude lag in closed form. Its attitude
-    # is the closed form's after dt, also when the step is bisected.
+    # is the closed form's after dt, also when the step is split.
     dt = 1e-3
     for where, st, T, phi_r, s, cfg in generic_draws():
         out = step(st, T, phi_r, s, cfg)
@@ -426,21 +437,21 @@ def test_step_alternating_plants_match_reference_bit_for_bit():
     # step reads constants that SurfaceModel and PlantConfig derive when they
     # are built; stepping the pairings in turn must match the reference
     # exactly, so that no constant of one pair leaks into a step of another
-    bisected, pressed = [0] * 4, [0] * 4
+    split, pressed = [0] * 4, [0] * 4
     for k, st, T, phi_r, s, cfg, out in alternating_steps():
         y1, n_rk4 = reference_step(st, T, phi_r, s, cfg)
         assert list(out.p_e) + list(out.v_e) + list(out.phi) == y1
         assert out.in_contact == (float(s.B_f @ out.p_e) - s.x_fs > 0.0)
-        bisected[k] += n_rk4 > 1
+        split[k] += n_rk4 > 1
         pressed[k] += out.in_contact
-    assert min(bisected) > 0 and min(pressed) > 0
+    assert min(split) > 0 and min(pressed) > 0
 
 
 def test_step_without_lag_equals_nine_state_rk4_bit_for_bit():
     # without lag the attitude is phi_r at every stage, so the closed form
     # changes nothing: every tau_att = 0 step of the three draws above
     # equals rk4 on the nine-state derivative bit for bit, signed zeros and
-    # bisected steps included
+    # split steps included
     draws = ([d[1:] for d in generic_draws()] + [d[1:] for d in equal_yaw_draws()]
              + [d[1:6] for d in alternating_steps()])
     n = 0
@@ -460,8 +471,8 @@ def test_step_lag_is_more_accurate_than_nine_state_rk4():
     # its worst position and velocity errors are no larger. Angles are
     # within 0.5 rad: with draw's angles (up to ~20 rad from phi_r, tau_att
     # down to 5 ms, so the thrust turns ~1.5 rad within one step) neither
-    # integrator resolves the step. No step crosses the surface, where the
-    # shared bisection tolerance dominates both errors.
+    # integrator resolves the step. No step crosses the surface: crossing
+    # steps are checked against finer plant steps in the next test.
     rng = np.random.default_rng(26)
     dt, n_sub = 1e-3, 256
     worst = np.zeros((2, 2))
@@ -499,6 +510,38 @@ def test_step_lag_is_more_accurate_than_nine_state_rk4():
                                                  np.abs(y[3:6] - want[3:6]).max()])
         assert np.abs(got[6:9] - want[6:9]).max() <= 1e-14
     assert np.all(worst[0] <= worst[1]), worst
+
+
+def test_step_crossing_the_surface_matches_finer_steps():
+    # a step that crosses the surface holds each mode up to the crossing, so
+    # neither RK4 substep sees the jump of the damping force -b_e x_dot_f at
+    # the surface, and it is about as accurate as a step that does not
+    # cross. The reference is 64 plant steps of dt/64, within 4e-12 m/s of
+    # 4096 steps on every tenth of these draws.
+    rng = np.random.default_rng(5)
+    dt, n_sub = 1e-3, 64
+    worst_p = worst_v = 0.0
+    for i in range(300):
+        s = SurfaceModel.from_tilt(rng.uniform(-30.0, 60.0),
+                                   k_e=rng.uniform(50.0, 500.0),
+                                   b_e=rng.uniform(0.1, 1.0))
+        cfg = PlantConfig(tau_att=0.02, dt=dt)
+        inward = i % 2 == 0
+        v_n = rng.uniform(0.05, 2.0) * (1.0 if inward else -1.0)
+        pen0 = -rng.uniform(0.02, 0.98) * v_n * dt
+        st = PlantState(p_e=s.p_s + pen0 * s.B_f,
+                        v_e=v_n * s.B_f + s.B_m @ rng.uniform(-0.5, 0.5, 2),
+                        phi=rng.uniform(-0.1, 0.1, 3))
+        T = cfg.m_t * cfg.g * rng.uniform(0.8, 1.2)
+        phi_r = rng.uniform(-0.1, 0.1, 3)
+        out = step(st, T, phi_r, s, cfg)
+        assert out.in_contact == inward
+        fine_cfg, fine = dataclasses.replace(cfg, dt=dt / n_sub), st
+        for _ in range(n_sub):
+            fine = step(fine, T, phi_r, s, fine_cfg)
+        worst_p = max(worst_p, np.abs(np.subtract(out.p_e, fine.p_e)).max())
+        worst_v = max(worst_v, np.abs(np.subtract(out.v_e, fine.v_e)).max())
+    assert worst_v <= 1e-7 and worst_p <= 1e-10, (worst_p, worst_v)
 
 
 def test_rk4_exponential_decay_matches_taylor_polynomial():

@@ -989,7 +989,8 @@ def test_j_cost_penalties_anchor_midpoint():
 def test_slew_track_equals_min_max_bit_for_bit():
     # the clamp written as comparisons gives min(max(d, -step), step)
     # exactly: NaN and infinite targets, signed zeros, a zero step
-    # (rate * dt = 0), and a negative or NaN rate
+    # (rate * dt = 0), and a negative or NaN step, from a rate assigned
+    # after construction, which checks it
     values = (0.0, -0.0, 0.55, -1.5, 25.0, 1e-300, math.nan, math.inf,
               -math.inf)
     rates = (0.0, -0.0, 5.0, -5.0, math.nan, math.inf)
@@ -998,10 +999,23 @@ def test_slew_track_equals_min_max_bit_for_bit():
             for i, k_f in enumerate(values):
                 for j, target in enumerate(values):
                     b_f, target_b = values[-1 - i], values[-1 - j]
-                    slew = sched.SlewLimitedGains(k_f, b_f, rate=rate)
+                    slew = sched.SlewLimitedGains(k_f, b_f)
+                    slew.rate = rate
                     got = slew.track(target, target_b, dt)
                     want = tick_oracle.slew_track(k_f, b_f, rate, target,
                                                   target_b, dt)
                     hexes = [v.hex() for v in want]
                     assert [v.hex() for v in got] == hexes
                     assert [slew.k_f.hex(), slew.b_f.hex()] == hexes
+
+
+def test_slew_rejects_negative_or_nonfinite_rate():
+    # a negative rate moved the gains away from their target, and a NaN
+    # rate jumped straight to it
+    for rate in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rate must be nonnegative"):
+            sched.SlewLimitedGains(0.5, 20.0, rate=rate)
+    for rate in (0.0, -0.0, 5.0, 1e300):
+        slew = sched.SlewLimitedGains(0.5, 20.0, rate=rate)
+        k_f, b_f = slew.track(1.0, 30.0, 1e-3)
+        assert 0.5 <= k_f <= 1.0 and 20.0 <= b_f <= 30.0

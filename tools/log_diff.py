@@ -10,7 +10,9 @@ changed, and where the change began: the first log row that differs (its
 tick index and t) and the first column, in schema order, that differs
 there. For every closed-loop run it also prints, base -> change,
 force_rms, motion_rms, settle_time, the final k_e_hat and b_e_hat, whether
-the events are identical and the number of events of each kind. For the
+the events are identical and, for each kind of event, the number of events,
+whether its sequence of times is identical and, if not, the first event of
+that kind whose time differs (base -> change, "none" past the end). For the
 schedule() draws it prints how many of the 1000 results differ, how many of
 those changed provenance or condition_id, the largest |change| of k_f and
 b_f relative to the box's width in that gain, and the largest |change| of
@@ -23,7 +25,6 @@ import pickle
 import subprocess
 import sys
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
@@ -80,10 +81,19 @@ def report(label: str, columns, base, change) -> None:
     for k, a, b in rows:
         rel = f" ({(b - a) / abs(a):+.3%})" if math.isfinite(a) and a else ""
         print(f"    {k}: {a:.6g} -> {b:.6g}{rel}")
-    c0, c1 = (Counter(kind for _, kind, _ in ev) for ev in (ev0, ev1))
-    print(f"    events ({'identical' if ev0 == ev1 else 'differ'}): "
-          + ", ".join(f"{k} {c0[k]} -> {c1[k]}"
-                      for k in sorted(c0.keys() | c1.keys())))
+    print(f"    events ({'identical' if ev0 == ev1 else 'differ'}):")
+    for kind in sorted({k for _, k, _ in ev0} | {k for _, k, _ in ev1}):
+        e0, e1 = ([e for e in ev if e[1] == kind] for ev in (ev0, ev1))
+        t0, t1 = [e[0] for e in e0], [e[0] for e in e1]
+        line = f"        {kind} {len(e0)} -> {len(e1)}: "
+        if t0 == t1:
+            print(line + "identical times")
+            continue
+        i = next(i for i, (a, b) in enumerate(zip(t0 + [None], t1 + [None]))
+                 if a != b)
+        print(line + f"first difference at #{i}: "
+              + " -> ".join(repr(e[i]) if i < len(e) else "none"
+                            for e in (e0, e1)))
 
 
 def relative(d: float, width: float) -> float:
