@@ -7,8 +7,7 @@ from .plant import (DisturbanceConfig, MeasurementNoise, Measurement,
                     PlantConfig, PlantState, SurfaceModel, contact_force,
                     measure, step)
 from .estimator import ContactDetector, EnvEstimate, RlseConfig, rlse_update
-from .reference import (CONTACT, FREE, ReferenceState, contact_step,
-                        free_step, switch_mode)
+from .reference import ReferenceState, contact_step, free_step, switch_mode
 from .controller import (DOBState, GainSet, InfeasibleInput, compose_u,
                          control_force, control_motion, dob_estimates,
                          dob_update, extract_inputs, invert_inputs)

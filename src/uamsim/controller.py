@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .plant import Measurement, SurfaceModel
-from .reference import FREE, ReferenceState
+from .reference import ReferenceState
 
 
 class InfeasibleInput(Exception):
@@ -96,12 +96,14 @@ def dob_update(dob: DOBState, meas: Measurement, u_bar_f: float, u_bar_m,
 
 
 def control_force(ref: ReferenceState, meas: Measurement, delta_f_hat: float,
-                  gains: GainSet, surface: SurfaceModel) -> float:
-    """Desired force-space input for the reference's mode, N."""
+                  gains: GainSet, surface: SurfaceModel,
+                  in_contact: bool) -> float:
+    """Desired force-space input, N: the position law in free flight, the
+    force law while contact is detected."""
     g_term = gains.m_bar * gains.g_bar * surface.B_f_floats[2]
     e_xf = ref.x_fr - meas.x_f
     e_xf_dot = ref.x_fr_dot - meas.x_dot_f
-    if ref.mode == FREE:
+    if not in_contact:
         return (gains.m_bar * ref.x_fr_ddot + gains.k_d * e_xf_dot
                 + gains.k_p * e_xf + g_term - delta_f_hat)
     e_ff = ref.f_fr - meas.f_f

@@ -383,10 +383,11 @@ def run(scenario: Scenario) -> RunLog:
             raise RuntimeError(f"non-finite plant state at t={t:.3f}")
 
         meas = plantmod.measure(st, surface, pcfg, rng)
+        was_in_contact = detector.in_contact
         in_contact = detector.update(meas.f_f)
         x_f_recent.append(meas.x_f)
 
-        if in_contact != (ref.mode == refgen.CONTACT):
+        if in_contact != was_in_contact:
             if in_contact:
                 events.append((t, "detector_make", f"f_f={meas.f_f:.3f}"))
                 # anchor at the sample where the force first exceeded the
@@ -394,11 +395,11 @@ def run(scenario: Scenario) -> RunLog:
                 x_fs_hat = x_f_recent[0]
                 if t_contact0 is None:
                     t_contact0 = t
-                ref = refgen.switch_mode(ref, refgen.CONTACT, meas.f_f)
+                ref = refgen.switch_mode(ref, meas.f_f)
                 last_sched_t = -math.inf       # force an immediate schedule
             else:
                 events.append((t, "detector_break", ""))
-                ref = refgen.switch_mode(ref, refgen.FREE)
+                ref = refgen.switch_mode(ref, 0.0)
 
         x_md = scenario.motion_setpoint(t, x_m0)
         if in_contact:
@@ -420,7 +421,7 @@ def run(scenario: Scenario) -> RunLog:
             ref = refgen.free_step(ref, x_fd, x_md, scenario.omega_n, dt_ctl)
 
         d_f, d_m = ctl.dob_estimates(dob, meas, gains)
-        u_f = ctl.control_force(ref, meas, d_f, gains, surface)
+        u_f = ctl.control_force(ref, meas, d_f, gains, surface, in_contact)
         u_m = ctl.control_motion(ref, meas, d_m, gains, surface)
         dob = ctl.dob_update(dob, meas, u_f, u_m, gains, surface,
                              in_contact, dt_ctl)

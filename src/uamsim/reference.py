@@ -10,8 +10,9 @@ through the estimated surface model so the two stay consistent:
     x_fr'' = -(k_hat/b_hat) x_fr' - (1/b_hat) f_fr'
 
 Both modes take the exact step of their linear system over a controller
-period. Mode hand-offs keep position/velocity references continuous. The
-motion-plane references are tuples of two Python floats.
+period. The contact mode is the detector's; switch_mode resets the force
+reference at its edges and keeps position/velocity references continuous.
+The motion-plane references are tuples of two Python floats.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from functools import lru_cache
 
 from .estimator import EnvEstimate
 from .plant import as_floats
-
-FREE = "free"
-CONTACT = "contact"
 
 
 @dataclass
@@ -37,7 +35,6 @@ class ReferenceState:
     x_mr: tuple[float, float] = (0.0, 0.0)
     x_mr_dot: tuple[float, float] = (0.0, 0.0)
     x_mr_ddot: tuple[float, float] = (0.0, 0.0)
-    mode: str = FREE
 
     def __post_init__(self):
         self.x_mr = as_floats(self.x_mr, 2)
@@ -46,12 +43,12 @@ class ReferenceState:
 
 
 def _reference(x_fr, x_fr_dot, x_fr_ddot, f_fr, f_fr_dot, x_mr, x_mr_dot,
-               x_mr_ddot, mode) -> ReferenceState:
+               x_mr_ddot) -> ReferenceState:
     """A ReferenceState from values that already have the field types."""
     r = object.__new__(ReferenceState)
     r.x_fr, r.x_fr_dot, r.x_fr_ddot, r.f_fr, r.f_fr_dot = (
         x_fr, x_fr_dot, x_fr_ddot, f_fr, f_fr_dot)
-    r.x_mr, r.x_mr_dot, r.x_mr_ddot, r.mode = x_mr, x_mr_dot, x_mr_ddot, mode
+    r.x_mr, r.x_mr_dot, r.x_mr_ddot = x_mr, x_mr_dot, x_mr_ddot
     return r
 
 
@@ -87,8 +84,6 @@ def _tracker(wn: float, dt: float) -> tuple:
 def free_step(ref: ReferenceState, x_fd: float, x_md, omega_n: float,
               dt: float) -> ReferenceState:
     """Advance the free-flight generator one exact step on each axis."""
-    if ref.mode != FREE:
-        raise ValueError("free_step called while not in free mode")
     try:
         c0, c1 = x_md
     except ValueError:
@@ -103,7 +98,7 @@ def free_step(ref: ReferenceState, x_fd: float, x_md, omega_n: float,
     x1, v1 = x1 + (cv * v1 - ce * e1), dv * v1 - de * e1
     return _reference(x, v, w2 * v - ww * (x - x_fd), 0.0, 0.0, (x0, x1),
                       (v0, v1), (w2 * v0 - ww * (x0 - c0),
-                                 w2 * v1 - ww * (x1 - c1)), FREE)
+                                 w2 * v1 - ww * (x1 - c1)))
 
 
 def contact_step(ref: ReferenceState, f_fd: float, x_md, est: EnvEstimate,
@@ -117,8 +112,6 @@ def contact_step(ref: ReferenceState, f_fd: float, x_md, est: EnvEstimate,
     - (dt/b) exp(-w dt) (f_fr' phi_1(d) - w q phi_2(d)), exact at the double
     pole d = 0 too; x_fr follows from the slaving k dx_fr + b dx_fr' = -df_fr.
     """
-    if ref.mode != CONTACT:
-        raise ValueError("contact_step called while not in contact mode")
     if not (est.k_hat > 0.0 and est.b_hat > 0.0):
         raise ValueError("estimates k_hat and b_hat must be positive")
     b, kb = est.b_hat, est.k_hat / est.b_hat
@@ -141,24 +134,12 @@ def contact_step(ref: ReferenceState, f_fd: float, x_md, est: EnvEstimate,
     m1, u1 = m1 + (cv * u1 - ce * e1), dv * u1 - de * e1
     return _reference(x1, v1, -kb * v1 - fd1 / b, ref.f_fr + df, fd1, (m0, m1),
                       (u0, u1), (w2 * u0 - ww * (m0 - c0),
-                                 w2 * u1 - ww * (m1 - c1)), CONTACT)
+                                 w2 * u1 - ww * (m1 - c1)))
 
 
-def switch_mode(ref: ReferenceState, new_mode: str,
-                f_f_measured: float = 0.0) -> ReferenceState:
-    """Hand the generator over to the other mode.
-
-    Position/velocity references carry over continuously. Entering contact
-    initializes the force reference at the currently measured force with
-    zero rate; returning to free flight resets it to zero.
-    """
-    if new_mode == ref.mode:
-        raise ValueError("switch_mode requires a different mode")
-    if new_mode == CONTACT:
-        f_fr = float(f_f_measured)
-    elif new_mode == FREE:
-        f_fr = 0.0
-    else:
-        raise ValueError(f"unknown mode {new_mode!r}")
-    return _reference(ref.x_fr, ref.x_fr_dot, ref.x_fr_ddot, f_fr, 0.0,
-                      ref.x_mr, ref.x_mr_dot, ref.x_mr_ddot, new_mode)
+def switch_mode(ref: ReferenceState, f_fr: float) -> ReferenceState:
+    """Restart the force reference at f_fr with zero rate: the measured force
+    on entering contact, zero on leaving it. Position/velocity references
+    carry over continuously."""
+    return _reference(ref.x_fr, ref.x_fr_dot, ref.x_fr_ddot, float(f_fr), 0.0,
+                      ref.x_mr, ref.x_mr_dot, ref.x_mr_ddot)

@@ -10,7 +10,7 @@ from uamsim.controller import (DOBState, GainSet, InfeasibleInput, compose_u,
                                dob_update, extract_inputs, invert_inputs)
 from uamsim.estimator import RlseConfig, rlse_update
 from uamsim.plant import Measurement, PlantConfig, PlantState, SurfaceModel, measure
-from uamsim.reference import CONTACT, FREE, ReferenceState
+from uamsim.reference import ReferenceState
 
 from plant_reference import E3, draw, rotation
 
@@ -217,17 +217,17 @@ def test_tick_calls_return_python_floats():
 def test_control_force_free_gravity_feedforward_only():
     s = tilted_surface()
     g = GainSet(m_bar=4.2)
-    ref = ReferenceState(mode=FREE)
-    u = control_force(ref, meas_at(), 0.0, g, s)
+    ref = ReferenceState()
+    u = control_force(ref, meas_at(), 0.0, g, s, in_contact=False)
     assert u == pytest.approx(g.m_bar * g.g_bar * float(s.B_f @ E3))
 
 
 def test_control_force_contact_zero_errors():
     s = tilted_surface()
     g = GainSet(m_bar=4.2)
-    ref = ReferenceState(x_fr_ddot=0.5, f_fr=-6.0, mode=CONTACT)
+    ref = ReferenceState(x_fr_ddot=0.5, f_fr=-6.0)
     m = meas_at(f_f=-6.0)
-    u = control_force(ref, m, 0.0, g, s)
+    u = control_force(ref, m, 0.0, g, s, in_contact=True)
     expected = g.m_bar * 0.5 - (-6.0) + g.m_bar * g.g_bar * float(s.B_f @ E3)
     assert u == pytest.approx(expected)
 
@@ -238,15 +238,15 @@ def test_control_force_contact_single_term():
                      B_m=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                      p_s=[1.0, 0.0, 0.0])          # B_f ^T e3 = 0
     g = GainSet(m_bar=4.2, k_f=0.5, b_f=20.0)
-    ref = ReferenceState(f_fr=1.0, mode=CONTACT)
-    u = control_force(ref, meas_at(f_f=0.0), 0.0, g, s)
+    ref = ReferenceState(f_fr=1.0)
+    u = control_force(ref, meas_at(f_f=0.0), 0.0, g, s, in_contact=True)
     assert u == pytest.approx(-1.0 - 0.5)      # -f_fr - k_f * e_ff
 
 
 def test_control_motion_level_surface():
     s = vertical_surface()                      # B_m columns: e3 and e2
     g = GainSet(m_bar=4.2)
-    ref = ReferenceState(x_mr_ddot=[0.2, -0.1], mode=FREE)
+    ref = ReferenceState(x_mr_ddot=[0.2, -0.1])
     u = control_motion(ref, meas_at(), np.zeros(2), g, s)
     grav = g.m_bar * g.g_bar * (s.B_m.T @ E3)
     assert np.allclose(u, g.m_bar * np.array([0.2, -0.1]) + grav)
@@ -257,7 +257,7 @@ def test_control_motion_proportional_contribution():
                      B_m=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
                      p_s=[1.0, 0.0, 0.0])
     g = GainSet(m_bar=4.2)
-    ref = ReferenceState(x_mr=[0.1, 0.0], mode=FREE)
+    ref = ReferenceState(x_mr=[0.1, 0.0])
     u = control_motion(ref, meas_at(x_m=(0.0, 0.0)), np.zeros(2), g, s)
     grav = g.m_bar * g.g_bar * (s.B_m.T @ E3)
     assert np.allclose(u - grav, [2.35, 0.0])
@@ -267,8 +267,8 @@ def test_gravity_compensation_recomposes_across_tilt():
     # force + motion gravity terms recompose to full 3-vector compensation
     s = tilted_surface()
     g = GainSet(m_bar=4.2)
-    ref = ReferenceState(mode=FREE)
-    u_f = control_force(ref, meas_at(), 0.0, g, s)
+    ref = ReferenceState()
+    u_f = control_force(ref, meas_at(), 0.0, g, s, in_contact=False)
     u_m = control_motion(ref, meas_at(), np.zeros(2), g, s)
     u_e = compose_u(u_f, u_m, s)
     assert np.allclose(u_e, g.m_bar * g.g_bar * E3, atol=1e-12)
@@ -278,11 +278,10 @@ def test_intermode_jump_bounded():
     s = vertical_surface()
     g = GainSet(m_bar=4.2, k_f=0.5, b_f=20.0)
     m = meas_at(x_f=0.99, x_dot_f=0.05, f_f=-2.0)
-    free_ref = ReferenceState(x_fr=1.02, x_fr_dot=0.0, mode=FREE)
-    u_free = control_force(free_ref, m, 0.0, g, s)
-    contact_ref = ReferenceState(x_fr=1.02, x_fr_dot=0.0, f_fr=-2.0,
-                                 mode=CONTACT)
-    u_contact = control_force(contact_ref, m, 0.0, g, s)
+    free_ref = ReferenceState(x_fr=1.02, x_fr_dot=0.0)
+    u_free = control_force(free_ref, m, 0.0, g, s, in_contact=False)
+    contact_ref = ReferenceState(x_fr=1.02, x_fr_dot=0.0, f_fr=-2.0)
+    u_contact = control_force(contact_ref, m, 0.0, g, s, in_contact=True)
     assert math.isfinite(u_free - u_contact)
     assert abs(u_free - u_contact) < 50.0
 

@@ -445,6 +445,35 @@ def test_rlse_latches_the_surface_where_the_force_first_crossed(monkeypatch):
         assert sc.surface().x_fs not in calls
 
 
+def test_reference_switches_and_force_law_follow_the_detector(monkeypatch):
+    # with force noise the detector chatters; the loop resets the force
+    # reference once per detector edge, at that edge's tick, to the measured
+    # force at a make and to zero at a break, and every control_force call
+    # takes the detector's state of its tick (one call per tick)
+    switches, modes = [], []
+    switch_mode, control_force = harness.refgen.switch_mode, harness.ctl.control_force
+
+    def switched(ref, f_fr):
+        switches.append((len(modes), f_fr))
+        return switch_mode(ref, f_fr)
+
+    def forced(*args):
+        modes.append(args[5])
+        return control_force(*args)
+
+    monkeypatch.setattr(harness.refgen, "switch_mode", switched)
+    monkeypatch.setattr(harness.ctl, "control_force", forced)
+    sc = preset("experiment1-fast", duration=6.0, noise_f_f=0.2, seed=1)
+    log = run(sc)
+    f_f = log.column("f_f")
+    edges = [(round(t * sc.ctl_rate), kind) for t, kind, _ in log.events
+             if kind in ("detector_make", "detector_break")]
+    assert sum(kind == "detector_break" for _, kind in edges) >= 3
+    assert switches == [(k, f_f[k] if kind == "detector_make" else 0.0)
+                        for k, kind in edges]
+    assert modes == [m == 1.0 for m in log.column("mode")]
+
+
 @pytest.mark.parametrize("name", ["experiment1-fast", "experiment2-tilted"])
 def test_turning_the_scene_about_the_vertical_changes_nothing(name):
     # the surface, p_s and the yaw reference turned together about e3 by a

@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from uamsim.estimator import EnvEstimate
-from uamsim.reference import (CONTACT, FREE, ReferenceState, _phi12,
-                              contact_step, free_step, switch_mode)
+from uamsim.reference import (ReferenceState, _phi12, contact_step, free_step,
+                              switch_mode)
 
 import tick_oracle
 from plant_reference import draw, rk4
@@ -52,7 +52,7 @@ def test_free_mode_forces_zero_force_reference():
 
 def test_contact_equilibrium():
     est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
-    ref = ReferenceState(x_fr=1.0, f_fr=-6.0, mode=CONTACT)
+    ref = ReferenceState(x_fr=1.0, f_fr=-6.0)
     out = contact_step(ref, -6.0, [0.0, 0.0], est, WN, DT)
     assert out.f_fr == pytest.approx(-6.0, abs=1e-12)
     assert out.x_fr == pytest.approx(1.0, abs=1e-12)
@@ -60,7 +60,7 @@ def test_contact_equilibrium():
 
 def test_contact_force_step_settles():
     est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
-    ref = ReferenceState(x_fr=1.0, mode=CONTACT)
+    ref = ReferenceState(x_fr=1.0)
     t = 0.0
     while t < 1.5:
         ref = contact_step(ref, -6.0, [0.0, 0.0], est, WN, DT)
@@ -73,7 +73,7 @@ def test_contact_consistency_with_estimated_stiffness():
     # enough to sustain the force through the estimated stiffness
     est = EnvEstimate(k_hat=150.0, b_hat=0.4, P=np.eye(2))
     x_latch = 1.0
-    ref = ReferenceState(x_fr=x_latch, mode=CONTACT)
+    ref = ReferenceState(x_fr=x_latch)
     t = 0.0
     while t < 6.0:
         ref = contact_step(ref, -6.0, [0.0, 0.0], est, WN, DT)
@@ -84,7 +84,7 @@ def test_contact_consistency_with_estimated_stiffness():
 
 def test_contact_step_derivative_consistency():
     est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
-    ref = ReferenceState(x_fr=1.0, mode=CONTACT)
+    ref = ReferenceState(x_fr=1.0)
     for _ in range(50):
         ref = contact_step(ref, -3.0, [0.1, 0.0], est, WN, DT)
     resid = ref.x_fr_ddot - (-(est.k_hat / est.b_hat) * ref.x_fr_dot
@@ -96,7 +96,7 @@ def test_contact_step_stable_at_extreme_estimates():
     # fastest admissible pole: k_hat/b_hat = 5000 1/s, ten times the
     # controller rate; the exact step is stable at any pole
     est = EnvEstimate(k_hat=500.0, b_hat=0.1, P=np.eye(2))
-    ref = ReferenceState(x_fr=0.0, mode=CONTACT)
+    ref = ReferenceState(x_fr=0.0)
     for _ in range(2500):
         ref = contact_step(ref, -6.0, [0.0, 0.0], est, WN, DT)
     assert abs(ref.f_fr + 6.0) < 1e-6
@@ -104,25 +104,21 @@ def test_contact_step_stable_at_extreme_estimates():
 
 
 def test_contact_step_rejects_nonpositive_damping_estimate():
-    ref = ReferenceState(mode=CONTACT)
+    ref = ReferenceState()
     for b_hat in (0.0, -0.5):
         est = EnvEstimate(k_hat=200.0, b_hat=b_hat, P=np.eye(2))
         with pytest.raises(ValueError):
             contact_step(ref, -6.0, [0.0, 0.0], est, WN, DT)
 
 
-def test_steps_reject_wrong_mode_and_nonpositive_omega_n():
-    free, contact = ReferenceState(mode=FREE), ReferenceState(mode=CONTACT)
+def test_steps_reject_nonpositive_omega_n():
+    ref = ReferenceState()
     est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
-    with pytest.raises(ValueError, match="free mode"):
-        free_step(contact, 0.5, [0.0, 0.0], WN, DT)
-    with pytest.raises(ValueError, match="contact mode"):
-        contact_step(free, -6.0, [0.0, 0.0], est, WN, DT)
     for wn in (0.0, -1.0):
         with pytest.raises(ValueError, match="omega_n"):
-            free_step(free, 0.5, [0.0, 0.0], wn, DT)
+            free_step(ref, 0.5, [0.0, 0.0], wn, DT)
         with pytest.raises(ValueError, match="omega_n"):
-            contact_step(contact, -6.0, [0.0, 0.0], est, wn, DT)
+            contact_step(ref, -6.0, [0.0, 0.0], est, wn, DT)
 
 
 def generic_track(x, v, target, wn, dt):
@@ -215,7 +211,7 @@ def test_contact_step_matches_expm_and_rk4():
         f, fd, x, v = draw(rng, 4).tolist()
         xm, vm, x_md = draw(rng, (3, 2)).tolist()
         ref = ReferenceState(x_fr=x, x_fr_dot=v, f_fr=f, f_fr_dot=fd,
-                             x_mr=xm, x_mr_dot=vm, mode=CONTACT)
+                             x_mr=xm, x_mr_dot=vm)
         out = contact_step(ref, f_fd, x_md,
                            EnvEstimate(k_hat=k_hat, b_hat=b_hat, P=np.eye(2)),
                            wn, DT)
@@ -248,7 +244,7 @@ def test_contact_step_matches_expm_and_rk4():
 
 def test_contact_step_rejects_nonpositive_stiffness_estimate():
     # a negative k_hat would make the position reference's pole unstable
-    ref = ReferenceState(mode=CONTACT)
+    ref = ReferenceState()
     for k_hat in (0.0, -200.0, math.nan):
         est = EnvEstimate(k_hat=k_hat, b_hat=0.5, P=np.eye(2))
         with pytest.raises(ValueError, match="k_hat"):
@@ -262,7 +258,7 @@ def test_steps_give_float_tuples_and_check_setpoint_length():
     ref = ReferenceState(x_fr=0.3, x_mr=np.array([0.1, -0.2]), x_mr_dot=[1, 2])
     assert ref.x_mr == (0.1, -0.2) and ref.x_mr_dot == (1.0, 2.0)
     assert ref.x_mr_ddot == (0.0, 0.0)
-    contact = switch_mode(ref, CONTACT, -1.0)
+    contact = switch_mode(ref, -1.0)
     for out in (free_step(ref, 0.5, np.array([0.2, 0.1]), 10.0, DT),
                 contact_step(contact, -2.0, [0.2, 0.1], est, 10.0, DT), contact):
         for v in (out.x_mr, out.x_mr_dot, out.x_mr_ddot):
@@ -281,38 +277,28 @@ def test_steps_give_float_tuples_and_check_setpoint_length():
 
 
 def test_switch_modes_continuous_and_round_trip():
-    ref = ReferenceState(x_fr=0.7, x_fr_dot=-0.1, x_mr=[0.2, 0.3], mode=FREE)
-    c = switch_mode(ref, CONTACT, f_f_measured=-0.5)
-    assert c.mode == CONTACT
+    ref = ReferenceState(x_fr=0.7, x_fr_dot=-0.1, x_mr=[0.2, 0.3])
+    c = switch_mode(ref, -0.5)
     assert c.f_fr == pytest.approx(-0.5)
     assert c.f_fr_dot == 0.0
     assert c.x_fr == pytest.approx(0.7, abs=1e-15)
     assert c.x_fr_dot == pytest.approx(-0.1, abs=1e-15)
-    back = switch_mode(c, FREE)
-    assert back.mode == FREE
+    back = switch_mode(c, 0.0)
     assert back.f_fr == 0.0
     assert back.x_fr == pytest.approx(0.7, abs=1e-15)
-
-
-def test_switch_same_mode_rejected():
-    ref = ReferenceState()
-    with pytest.raises(ValueError):
-        switch_mode(ref, FREE)
-    with pytest.raises(ValueError, match="unknown mode"):
-        switch_mode(ref, "hover")
 
 
 def test_bounded_setpoints_give_bounded_references():
     rng = np.random.default_rng(4)
     est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
-    ref = ReferenceState(mode=FREE)
+    ref, in_contact = ReferenceState(), False
     for i in range(4000):
         x_fd = float(rng.uniform(-1.0, 1.0))
         x_md = rng.uniform(-1.0, 1.0, 2)
         if i % 500 == 250:
-            ref = switch_mode(ref, CONTACT if ref.mode == FREE else FREE,
-                              f_f_measured=-1.0)
-        if ref.mode == FREE:
+            in_contact = not in_contact
+            ref = switch_mode(ref, -1.0 if in_contact else 0.0)
+        if not in_contact:
             ref = free_step(ref, x_fd, x_md, WN, DT)
         else:
             ref = contact_step(ref, float(rng.uniform(-8.0, 0.0)), x_md, est,
@@ -324,15 +310,15 @@ def test_bounded_setpoints_give_bounded_references():
 
 
 def bits(fields) -> list:
-    """The nine fields of a reference, in order, with each float as a hex
+    """The eight fields of a reference, in order, with each float as a hex
     string, which tells -0.0 from +0.0."""
-    x, xd, xdd, f, fd, xm, xmd, xmdd, mode = fields
-    return [float(v).hex() for v in (x, xd, xdd, f, fd, *xm, *xmd, *xmdd)] + [mode]
+    x, xd, xdd, f, fd, xm, xmd, xmdd = fields
+    return [float(v).hex() for v in (x, xd, xdd, f, fd, *xm, *xmd, *xmdd)]
 
 
 def fields(r: ReferenceState) -> tuple:
     return (r.x_fr, r.x_fr_dot, r.x_fr_ddot, r.f_fr, r.f_fr_dot, r.x_mr,
-            r.x_mr_dot, r.x_mr_ddot, r.mode)
+            r.x_mr_dot, r.x_mr_ddot)
 
 
 def test_phi12_equals_the_generator_sum_bit_for_bit():
@@ -382,8 +368,7 @@ def test_steps_equal_the_looped_tracker_bit_for_bit():
                 == bits(tick_oracle.free_step(ref, x_fd, x_md, wn, dt)))
 
         ref = ReferenceState(x_fr=value(), x_fr_dot=value(), f_fr=value(),
-                             f_fr_dot=value(), x_mr=pair(), x_mr_dot=pair(),
-                             mode=CONTACT)
+                             f_fr_dot=value(), x_mr=pair(), x_mr_dot=pair())
         k_hat = rng.uniform(50.0, 500.0)
         if i % 2:           # k/b within 0.25/dt of omega_n: the Taylor sum
             z = rng.uniform(-0.25, min(0.25, 0.9 * wn * dt))
@@ -400,17 +385,15 @@ def test_steps_equal_the_looped_tracker_bit_for_bit():
 
 def test_steps_reject_what_the_looped_tracker_rejects():
     # the same ValueError, with the same message, for a setpoint of another
-    # size, a wrong mode and a nonpositive omega_n
+    # size and a nonpositive omega_n
     est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
-    free, contact = ReferenceState(), ReferenceState(mode=CONTACT)
-    cases = [(free_step, tick_oracle.free_step, free, 0.5),
-             (contact_step, tick_oracle.contact_step, contact, -2.0)]
-    for new, old, ref, target in cases:
-        other = contact if ref is free else free
-        for r, x_md, wn in ((ref, (0.1,), WN), (ref, np.zeros(3), WN),
-                            (ref, [], WN), (other, (0.1, 0.2), WN),
-                            (ref, (0.1, 0.2), 0.0), (ref, (0.1, 0.2), -1.0)):
-            args = (r, target, x_md) + ((est,) if new is contact_step else ())
+    ref = ReferenceState()
+    cases = [(free_step, tick_oracle.free_step, 0.5),
+             (contact_step, tick_oracle.contact_step, -2.0)]
+    for new, old, target in cases:
+        for x_md, wn in (((0.1,), WN), (np.zeros(3), WN), ([], WN),
+                         ((0.1, 0.2), 0.0), ((0.1, 0.2), -1.0)):
+            args = (ref, target, x_md) + ((est,) if new is contact_step else ())
             with pytest.raises(ValueError) as want:
                 old(*args, wn, DT)
             with pytest.raises(ValueError, match=str(want.value)):

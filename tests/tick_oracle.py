@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-from uamsim.reference import CONTACT, FREE
-
 _PHI2_TAYLOR = tuple(1.0 / math.factorial(k + 2) for k in range(10))  # z^k
 
 
@@ -57,19 +55,15 @@ def track(x, v, target, wn: float, dt: float):
 
 def free_step(ref, x_fd: float, x_md, omega_n: float, dt: float) -> tuple:
     """The fields (x_fr, x_fr_dot, x_fr_ddot, f_fr, f_fr_dot, x_mr, x_mr_dot,
-    x_mr_ddot, mode) after one free-flight step."""
-    if ref.mode != FREE:
-        raise ValueError("free_step called while not in free mode")
+    x_mr_ddot) after one free-flight step."""
     xs, vs, acc = track((ref.x_fr, *ref.x_mr), (ref.x_fr_dot, *ref.x_mr_dot),
                         (x_fd, *setpoint(x_md)), omega_n, dt)
-    return xs[0], vs[0], acc[0], 0.0, 0.0, xs[1:], vs[1:], acc[1:], FREE
+    return xs[0], vs[0], acc[0], 0.0, 0.0, xs[1:], vs[1:], acc[1:]
 
 
 def contact_step(ref, f_fd: float, x_md, est, omega_n: float,
                  dt: float) -> tuple:
     """The fields, as free_step gives them, after one contact step."""
-    if ref.mode != CONTACT:
-        raise ValueError("contact_step called while not in contact mode")
     if not (est.k_hat > 0.0 and est.b_hat > 0.0):
         raise ValueError("estimates k_hat and b_hat must be positive")
     b, kb = est.b_hat, est.k_hat / est.b_hat
@@ -82,8 +76,7 @@ def contact_step(ref, f_fd: float, x_md, est, omega_n: float,
     x1 = ref.x_fr - (b * (v1 - v0) + df) / est.k_hat
 
     xm, vm, am = track(ref.x_mr, ref.x_mr_dot, setpoint(x_md), omega_n, dt)
-    return (x1, v1, -kb * v1 - fd1 / b, ref.f_fr + df, fd1, xm, vm, am,
-            CONTACT)
+    return x1, v1, -kb * v1 - fd1 / b, ref.f_fr + df, fd1, xm, vm, am
 
 
 def slew_track(k_f: float, b_f: float, rate: float, target_k: float,

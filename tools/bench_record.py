@@ -8,15 +8,16 @@ end-to-end metrics and once with --trace 1 for the per-layer metrics, for
 BENCHMARK.json's run_seconds each. Every run uses seed 901, so that records compare with each
 other. The record also holds the machine (platform, Python version, CPU
 count), `git describe`, the behaviour fingerprint printed by
-tools/log_hashes.py, the line count of each module under src/ and their
-total, and the wall time and passed/failed counts of one run of the tier-1
-tests (`python -m pytest -q --continue-on-collection-errors`
-with src/ on PYTHONPATH). Exits nonzero, without writing the record, if a
+tools/log_hashes.py, the line count of each module under src/, their
+total and the sha256 of those modules, and the wall time and passed/failed
+counts of one run of the tier-1 tests (`python -m pytest -q
+--continue-on-collection-errors` with src/ on PYTHONPATH). Exits nonzero, without writing the record, if a
 benchmark run crashes (with its exit code and stderr), is not correct or
 reports a failed operation, or if a test fails.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -68,12 +69,18 @@ def log_hashes() -> dict:
 
 
 def src_lines() -> dict:
-    """Line count of each module under src/, and their total."""
+    """Line count of each module under src/, their total, and a sha256 that
+    names the source measured: the sha256 of what `sha256sum` prints for the
+    modules, their paths relative to src/ in sorted order."""
     src = ROOT / "src"
-    modules = {path.relative_to(src).as_posix():
-               len(path.read_text().splitlines())
-               for path in sorted(src.rglob("*.py"))}
-    return {"modules": modules, "total": sum(modules.values())}
+    data = {path.relative_to(src).as_posix(): path.read_bytes()
+            for path in src.rglob("*.py")}
+    modules, listing = {}, ""
+    for name in sorted(data):
+        modules[name] = len(data[name].decode().splitlines())
+        listing += f"{hashlib.sha256(data[name]).hexdigest()}  {name}\n"
+    return {"modules": modules, "total": sum(modules.values()),
+            "sha256": hashlib.sha256(listing.encode()).hexdigest()}
 
 
 def main(argv=None) -> int:
