@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 @dataclass
 class RlseConfig:
@@ -38,22 +36,23 @@ class RlseConfig:
             raise ValueError("need 0 < mu2 < inf")
 
     def initial_estimate(self) -> "EnvEstimate":
-        """Uninformed prior: midpoint of the admissible box, P = P0*I."""
+        """Uninformed prior: midpoint of the admissible box, P = P0*I,
+        held as (P0, 0.0, P0)."""
         return EnvEstimate(
             k_hat=0.5 * (self.k_min + self.k_max),
             b_hat=0.5 * (self.b_min + self.b_max),
-            P=self.P0 * np.eye(2),
+            P=(self.P0, 0.0, self.P0),
         )
 
 
 @dataclass
 class EnvEstimate:
+    """Estimates of (k_e, b_e) and their symmetric 2x2 covariance, held as
+    the three floats P = (P00, P01, P11) with P10 = P01."""
+
     k_hat: float
     b_hat: float
-    P: np.ndarray
-
-    def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=float).reshape(2, 2)
+    P: tuple[float, float, float]
 
 
 def _lambda_max(a: float, b: float, c: float) -> float:
@@ -69,31 +68,27 @@ def rlse_update(est: EnvEstimate, x_f: float, x_dot_f: float, f_f: float,
     beyond rho_M, so the bound holds after every update (the continuous-time
     freeze cannot overshoot; a plain Euler step could).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be positive and finite")
     if not (-math.inf < x_f < math.inf and -math.inf < x_dot_f < math.inf
             and -math.inf < f_f < math.inf and -math.inf < x_fs < math.inf):
         raise ValueError("non-finite estimator inputs")
 
     y0, y1 = -(x_f - x_fs), -x_dot_f                 # 1x2 regressor Y
-    (p00, p01), (p10, p11) = est.P.tolist()
-    py0, py1 = p00 * y0 + p01 * y1, p10 * y0 + p11 * y1        # P Y
+    p00, p01, p11 = est.P
+    py0, py1 = p00 * y0 + p01 * y1, p01 * y0 + p11 * y1        # P Y
     eps = f_f - (y0 * est.k_hat + y1 * est.b_hat)              # f_f - Y theta
 
-    # P + dt (mu1 P - mu2 PY PY^T), then symmetrized as 0.5 (P + P^T)
+    # P + dt (mu1 P - mu2 PY PY^T), symmetric as P is
     n00 = p00 + dt * (cfg.mu1 * p00 - cfg.mu2 * (py0 * py0))
     n01 = p01 + dt * (cfg.mu1 * p01 - cfg.mu2 * (py0 * py1))
-    n10 = p10 + dt * (cfg.mu1 * p10 - cfg.mu2 * (py1 * py0))
     n11 = p11 + dt * (cfg.mu1 * p11 - cfg.mu2 * (py1 * py1))
-    d0, off, d1 = 0.5 * (n00 + n00), 0.5 * (n01 + n10), 0.5 * (n11 + n11)
-    frozen = _lambda_max(d0, off, d1) > cfg.rho_M
+    frozen = _lambda_max(n00, n01, n11) > cfg.rho_M
 
-    # P is a 2x2 float array either way: skip __post_init__'s conversion
-    out = object.__new__(EnvEstimate)
-    out.k_hat = min(max(est.k_hat + dt * py0 * eps, cfg.k_min), cfg.k_max)
-    out.b_hat = min(max(est.b_hat + dt * py1 * eps, cfg.b_min), cfg.b_max)
-    out.P = est.P if frozen else np.array([[d0, off], [off, d1]])
-    return out
+    return EnvEstimate(
+        min(max(est.k_hat + dt * py0 * eps, cfg.k_min), cfg.k_max),
+        min(max(est.b_hat + dt * py1 * eps, cfg.b_min), cfg.b_max),
+        est.P if frozen else (n00, n01, n11))
 
 
 @dataclass

@@ -624,6 +624,8 @@ class SlewLimitedGains:
             raise ValueError("rate must be nonnegative and finite")
 
     def track(self, target_k: float, target_b: float, dt: float) -> tuple[float, float]:
+        if not 0.0 <= dt < inf:
+            raise ValueError("dt must be nonnegative and finite")
         step = self.rate * dt       # then min(max(d, -step), step), inlined
         dk, db = target_k - self.k_f, target_b - self.b_f
         dk, db = -step if -step > dk else dk, -step if -step > db else db

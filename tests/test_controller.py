@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from uamsim import controller as ctl
+from uamsim import estimator as estm
 from uamsim.controller import (DOBState, GainSet, InfeasibleInput, compose_u,
                                control_force, control_motion, dob_estimates,
                                dob_update, extract_inputs, invert_inputs)
@@ -174,8 +175,8 @@ def test_dob_and_motion_law_equal_numpy_forms_bit_for_bit():
 
 def test_tick_calls_return_python_floats():
     # measure, compose_u, extract_inputs, invert_inputs and rlse_update work
-    # on floats and hand on floats or tuples of them; EnvEstimate.P stays a
-    # 2x2 array. The projections agree with their matrix forms within 1e-12 m
+    # on floats and hand on floats or tuples of them; EnvEstimate.P is the
+    # three floats (P00, P01, P11). The projections agree with their matrix forms within 1e-12 m
     # (noise-free)
     rng = np.random.default_rng(41)
     cfg, rcfg = PlantConfig(), RlseConfig()
@@ -206,8 +207,25 @@ def test_tick_calls_return_python_floats():
 
         est = rlse_update(est, m.x_f, m.x_dot_f, m.f_f, m.x_f - 0.01, rcfg, 2e-3)
         assert type(est.k_hat) is float and type(est.b_hat) is float
-        assert type(est.P) is np.ndarray
-        assert est.P.shape == (2, 2) and est.P.dtype == np.float64
+        assert type(est.P) is tuple and len(est.P) == 3
+        assert all(type(p) is float for p in est.P)
+
+
+def test_estimator_and_controller_hold_no_numpy():
+    # the 500 Hz layers work on floats: neither module imports numpy, nor
+    # holds a numpy function, class, array or scalar
+    def from_numpy(v):
+        if isinstance(v, type(np)):
+            name = v.__name__
+        else:
+            name = getattr(v, "__module__", None) or type(v).__module__
+        return name == "numpy" or name.startswith("numpy.")
+
+    for mod in (estm, ctl):
+        assert [k for k, v in vars(mod).items() if from_numpy(v)] == []
+    assert from_numpy(np) and from_numpy(np.linalg) and from_numpy(np.sqrt)
+    assert from_numpy(np.ndarray) and from_numpy(np.eye(2))
+    assert from_numpy(np.float64(1.0)) and not from_numpy(math.sqrt)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ def synthetic_contact_trace(k_true, b_true, duration, dt, x_fs=0.0):
 
 def test_zero_innovation_keeps_estimate():
     cfg = make_cfg()
-    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=100.0 * np.eye(2))
+    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=(100.0, 0.0, 100.0))
     # measurement consistent with the current estimate: eps = 0
     pen, rate = 0.02, 0.1
     f = -200.0 * pen - 0.5 * rate
@@ -75,12 +75,13 @@ def test_covariance_cap_over_random_sequences():
             f = -rng.uniform(50, 500) * pen - rng.uniform(0.1, 1.0) * rate
             est = rlse_update(est, pen, rate, f, 0.0, cfg, 2e-3)
             assert lambda_max_2x2(est.P) <= cfg.rho_M + 1e-9
-            assert abs(est.P[0, 1] - est.P[1, 0]) < 1e-10
+            p00, p01, p11 = est.P
+            assert p00 > 0.0 and p00 * p11 - p01 * p01 > 0.0
 
 
 def test_zero_regressor_keeps_theta():
     cfg = make_cfg()
-    est = EnvEstimate(k_hat=123.0, b_hat=0.7, P=50.0 * np.eye(2))
+    est = EnvEstimate(k_hat=123.0, b_hat=0.7, P=(50.0, 0.0, 50.0))
     for _ in range(100):
         est = rlse_update(est, 0.0, 0.0, 0.0, 0.0, cfg, 2e-3)
     assert est.k_hat == pytest.approx(123.0)
@@ -88,17 +89,19 @@ def test_zero_regressor_keeps_theta():
 
 
 def test_update_matches_matrix_form():
-    # the scalar update must reproduce the RLSE step written with numpy
-    # arrays within 1e-12 relative, including the freeze, the clamping and
-    # the symmetrization of a slightly asymmetric P
+    # the scalar update on the three floats of P must reproduce the RLSE
+    # step written with numpy arrays within 1e-12 relative, including the
+    # freeze and the clamping
     cfg = make_cfg(rho_M=300.0)
     rng = np.random.default_rng(8)
     frozen = 0
     for _ in range(500):
         A = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-2.0, 2.0)
-        P = A @ A.T + np.array([[0.0, 1e-3], [0.0, 0.0]]) * rng.normal()
+        S = A @ A.T
+        p00, p01, p11 = float(S[0, 0]), float(S[0, 1]), float(S[1, 1])
+        P = np.array([[p00, p01], [p01, p11]])
         est = EnvEstimate(k_hat=rng.uniform(50.0, 500.0),
-                          b_hat=rng.uniform(0.1, 1.0), P=P)
+                          b_hat=rng.uniform(0.1, 1.0), P=(p00, p01, p11))
         x_f, x_dot_f, x_fs = rng.normal(size=3) * 0.05
         f_f, dt = rng.normal() * 5.0, rng.uniform(1e-4, 1e-2)
         out = rlse_update(est, x_f, x_dot_f, f_f, x_fs, cfg, dt)
@@ -108,8 +111,7 @@ def test_update_matches_matrix_form():
         PY = P @ Y
         theta = theta + dt * PY * (f_f - float(Y @ theta))
         P_new = P + dt * (cfg.mu1 * P - cfg.mu2 * np.outer(PY, PY))
-        P_new = 0.5 * (P_new + P_new.T)
-        if lambda_max_2x2(P_new) > cfg.rho_M:
+        if lambda_max_2x2((P_new[0, 0], P_new[0, 1], P_new[1, 1])) > cfg.rho_M:
             P_new = P
             frozen += 1
             assert out.P is est.P
@@ -117,7 +119,9 @@ def test_update_matches_matrix_form():
                                           rel=1e-12, abs=0.0)
         assert out.b_hat == pytest.approx(min(max(theta[1], cfg.b_min), cfg.b_max),
                                           rel=1e-12, abs=0.0)
-        assert np.allclose(out.P, P_new, rtol=1e-12, atol=0.0)
+        assert P_new[0, 1] == P_new[1, 0]
+        assert np.allclose(out.P, (P_new[0, 0], P_new[0, 1], P_new[1, 1]),
+                           rtol=1e-12, atol=0.0)
     assert 0 < frozen < 500
 
 
@@ -128,7 +132,7 @@ def test_estimate_reaches_scheduler_log_path_near_critical_damping():
     # scheduler takes the log form (numpy float64 scalars would give inf)
     k_e, b_e, m_t = 74.84128427624456, 0.42624656341812006, 4.973329405993329
     cfg = make_cfg()
-    est = EnvEstimate(k_hat=k_e, b_hat=b_e, P=cfg.P0 * np.eye(2))
+    est = EnvEstimate(k_hat=k_e, b_hat=b_e, P=(cfg.P0, 0.0, cfg.P0))
     out = rlse_update(est, 0.01, 0.0, 0.0, 0.01, cfg, 0.002)   # Y = 0
     assert type(out.k_hat) is float and type(out.b_hat) is float
     assert (out.k_hat, out.b_hat) == (k_e, b_e)
@@ -159,8 +163,10 @@ def test_rejects_nonfinite():
     est = cfg.initial_estimate()
     with pytest.raises(ValueError):
         rlse_update(est, math.nan, 0.0, 0.0, 0.0, cfg, 2e-3)
-    with pytest.raises(ValueError):
-        rlse_update(est, 0.0, 0.0, 0.0, 0.0, cfg, 0.0)
+    # dt = NaN returned NaN estimates, and dt = inf an unfrozen infinite P
+    for dt in (0.0, -0.0, -2e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            rlse_update(est, 0.01, -0.1, -2.0, 0.0, cfg, dt)
 
 
 def test_initial_estimate_midpoint():
@@ -168,7 +174,7 @@ def test_initial_estimate_midpoint():
     est = cfg.initial_estimate()
     assert est.k_hat == pytest.approx(275.0)
     assert est.b_hat == pytest.approx(0.55)
-    assert np.allclose(est.P, 100.0 * np.eye(2))
+    assert est.P == (100.0, 0.0, 100.0)
 
 
 def test_config_rejects_invalid_bounds():

@@ -51,7 +51,7 @@ def test_free_mode_forces_zero_force_reference():
 
 
 def test_contact_equilibrium():
-    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
+    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=(1.0, 0.0, 1.0))
     ref = ReferenceState(x_fr=1.0, f_fr=-6.0)
     out = contact_step(ref, -6.0, [0.0, 0.0], est, WN, DT)
     assert out.f_fr == pytest.approx(-6.0, abs=1e-12)
@@ -59,7 +59,7 @@ def test_contact_equilibrium():
 
 
 def test_contact_force_step_settles():
-    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
+    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=(1.0, 0.0, 1.0))
     ref = ReferenceState(x_fr=1.0)
     t = 0.0
     while t < 1.5:
@@ -71,7 +71,7 @@ def test_contact_force_step_settles():
 def test_contact_consistency_with_estimated_stiffness():
     # steady contact: the position reference drifts into the surface exactly
     # enough to sustain the force through the estimated stiffness
-    est = EnvEstimate(k_hat=150.0, b_hat=0.4, P=np.eye(2))
+    est = EnvEstimate(k_hat=150.0, b_hat=0.4, P=(1.0, 0.0, 1.0))
     x_latch = 1.0
     ref = ReferenceState(x_fr=x_latch)
     t = 0.0
@@ -83,7 +83,7 @@ def test_contact_consistency_with_estimated_stiffness():
 
 
 def test_contact_step_derivative_consistency():
-    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
+    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=(1.0, 0.0, 1.0))
     ref = ReferenceState(x_fr=1.0)
     for _ in range(50):
         ref = contact_step(ref, -3.0, [0.1, 0.0], est, WN, DT)
@@ -95,7 +95,7 @@ def test_contact_step_derivative_consistency():
 def test_contact_step_stable_at_extreme_estimates():
     # fastest admissible pole: k_hat/b_hat = 5000 1/s, ten times the
     # controller rate; the exact step is stable at any pole
-    est = EnvEstimate(k_hat=500.0, b_hat=0.1, P=np.eye(2))
+    est = EnvEstimate(k_hat=500.0, b_hat=0.1, P=(1.0, 0.0, 1.0))
     ref = ReferenceState(x_fr=0.0)
     for _ in range(2500):
         ref = contact_step(ref, -6.0, [0.0, 0.0], est, WN, DT)
@@ -106,14 +106,14 @@ def test_contact_step_stable_at_extreme_estimates():
 def test_contact_step_rejects_nonpositive_damping_estimate():
     ref = ReferenceState()
     for b_hat in (0.0, -0.5):
-        est = EnvEstimate(k_hat=200.0, b_hat=b_hat, P=np.eye(2))
+        est = EnvEstimate(k_hat=200.0, b_hat=b_hat, P=(1.0, 0.0, 1.0))
         with pytest.raises(ValueError):
             contact_step(ref, -6.0, [0.0, 0.0], est, WN, DT)
 
 
 def test_steps_reject_nonpositive_omega_n():
     ref = ReferenceState()
-    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
+    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=(1.0, 0.0, 1.0))
     for wn in (0.0, -1.0):
         with pytest.raises(ValueError, match="omega_n"):
             free_step(ref, 0.5, [0.0, 0.0], wn, DT)
@@ -213,7 +213,7 @@ def test_contact_step_matches_expm_and_rk4():
         ref = ReferenceState(x_fr=x, x_fr_dot=v, f_fr=f, f_fr_dot=fd,
                              x_mr=xm, x_mr_dot=vm)
         out = contact_step(ref, f_fd, x_md,
-                           EnvEstimate(k_hat=k_hat, b_hat=b_hat, P=np.eye(2)),
+                           EnvEstimate(k_hat=k_hat, b_hat=b_hat, P=(1.0, 0.0, 1.0)),
                            wn, DT)
         y = [out.f_fr, out.f_fr_dot, out.x_fr, out.x_fr_dot]
 
@@ -246,7 +246,7 @@ def test_contact_step_rejects_nonpositive_stiffness_estimate():
     # a negative k_hat would make the position reference's pole unstable
     ref = ReferenceState()
     for k_hat in (0.0, -200.0, math.nan):
-        est = EnvEstimate(k_hat=k_hat, b_hat=0.5, P=np.eye(2))
+        est = EnvEstimate(k_hat=k_hat, b_hat=0.5, P=(1.0, 0.0, 1.0))
         with pytest.raises(ValueError, match="k_hat"):
             contact_step(ref, -6.0, [0.0, 0.0], est, WN, DT)
 
@@ -254,7 +254,7 @@ def test_contact_step_rejects_nonpositive_stiffness_estimate():
 def test_steps_give_float_tuples_and_check_setpoint_length():
     # the motion-plane references are tuples of two Python floats; the
     # constructor converts arrays, and every entry point rejects other sizes
-    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
+    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=(1.0, 0.0, 1.0))
     ref = ReferenceState(x_fr=0.3, x_mr=np.array([0.1, -0.2]), x_mr_dot=[1, 2])
     assert ref.x_mr == (0.1, -0.2) and ref.x_mr_dot == (1.0, 2.0)
     assert ref.x_mr_ddot == (0.0, 0.0)
@@ -290,7 +290,7 @@ def test_switch_modes_continuous_and_round_trip():
 
 def test_bounded_setpoints_give_bounded_references():
     rng = np.random.default_rng(4)
-    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
+    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=(1.0, 0.0, 1.0))
     ref, in_contact = ReferenceState(), False
     for i in range(4000):
         x_fd = float(rng.uniform(-1.0, 1.0))
@@ -376,7 +376,7 @@ def test_steps_equal_the_looped_tracker_bit_for_bit():
         else:
             b_hat = rng.uniform(0.1, 1.0)
         taylor += abs((wn - k_hat / b_hat) * dt) < 0.2
-        est = EnvEstimate(k_hat=k_hat, b_hat=b_hat, P=np.eye(2))
+        est = EnvEstimate(k_hat=k_hat, b_hat=b_hat, P=(1.0, 0.0, 1.0))
         f_fd = value()
         assert (bits(fields(contact_step(ref, f_fd, x_md, est, wn, dt)))
                 == bits(tick_oracle.contact_step(ref, f_fd, x_md, est, wn, dt)))
@@ -386,7 +386,7 @@ def test_steps_equal_the_looped_tracker_bit_for_bit():
 def test_steps_reject_what_the_looped_tracker_rejects():
     # the same ValueError, with the same message, for a setpoint of another
     # size and a nonpositive omega_n
-    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=np.eye(2))
+    est = EnvEstimate(k_hat=200.0, b_hat=0.5, P=(1.0, 0.0, 1.0))
     ref = ReferenceState()
     cases = [(free_step, tick_oracle.free_step, 0.5),
              (contact_step, tick_oracle.contact_step, -2.0)]

@@ -1019,3 +1019,16 @@ def test_slew_rejects_negative_or_nonfinite_rate():
         slew = sched.SlewLimitedGains(0.5, 20.0, rate=rate)
         k_f, b_f = slew.track(1.0, 30.0, 1e-3)
         assert 0.5 <= k_f <= 1.0 and 20.0 <= b_f <= 30.0
+
+
+def test_slew_rejects_negative_or_nonfinite_dt():
+    # a NaN dt jumped straight to the target, and a negative one moved the
+    # gains away from it; the gains stay where they were
+    slew = sched.SlewLimitedGains(0.5, 20.0)
+    for dt in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="dt must be nonnegative"):
+            slew.track(1.0, 30.0, dt)
+        assert (slew.k_f, slew.b_f) == (0.5, 20.0)
+    for dt in (0.0, -0.0):
+        assert slew.track(1.0, 30.0, dt) == (0.5, 20.0)
+    assert slew.track(1.0, 30.0, 0.1) == (1.0, 20.5)
